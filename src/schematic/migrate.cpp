@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "base/strings.hpp"
 
@@ -42,19 +43,21 @@ std::int64_t baseline_units(const FontMetrics& font, std::int64_t height) {
 // -------------------------------------------------------- attach helper
 
 /// Make `at` a legal pin-connection point on `sheet`: if it is interior to a
-/// wire (not an endpoint), drop a junction dot there.
-void ensure_connectable(Sheet& sheet, const Point& at) {
-  bool endpoint = false;
-  bool interior = false;
-  for (const Segment& w : sheet.wires) {
-    if (w.a == at || w.b == at) endpoint = true;
-    else if (w.contains(at)) interior = true;
-  }
-  if (!endpoint && interior &&
-      std::find(sheet.junctions.begin(), sheet.junctions.end(), at) ==
-          sheet.junctions.end())
-    sheet.junctions.push_back(at);
+/// wire (not an endpoint), drop a junction dot there. `wires` indexes
+/// `sheet` and learns the new dot.
+void ensure_connectable(Sheet& sheet, WireIndex& wires, const Point& at) {
+  if (!wires.ending_at(at).empty() || wires.touching(at).empty() ||
+      wires.has_junction(at))
+    return;
+  sheet.junctions.push_back(at);
+  wires.add_junction();
 }
+
+/// A connector chosen by steps 5 and 6, attached once both have run.
+struct PendingConnector {
+  Point at;
+  Instance inst;
+};
 
 }  // namespace
 
@@ -153,26 +156,33 @@ MigrationResult migrate_design(const Design& src,
       }
 
       // ---- step 3: symbol replacement with rip-up / reroute ----
-      // (collect names first: replace_component mutates the instance list)
-      std::vector<std::pair<std::string, const SymbolMapEntry*>> replacements;
+      // Targets are chosen before any replacement rewrites a symbol. As in
+      // replace_component, a name stands for the first instance carrying it.
+      std::unordered_map<std::string, std::size_t> first_named;
+      for (std::size_t i = 0; i < sheet.instances.size(); ++i)
+        first_named.try_emplace(sheet.instances[i].name, i);
+      std::vector<std::pair<std::size_t, const SymbolMapEntry*>> replacements;
       for (const Instance& inst : sheet.instances)
         if (const SymbolMapEntry* entry = config.symbol_map.find(inst.symbol))
-          replacements.emplace_back(inst.name, entry);
-      for (const auto& [name, entry] : replacements) {
-        const SymbolDef* to_def = out.find_symbol(entry->to);
-        const SymbolDef* from_def = src.find_symbol(entry->from);
-        if (!to_def || !from_def) {
-          diags.error("replacement-symbol-missing",
-                      "target library lacks symbol " + entry->to.str(),
-                      {"sch.replace", name});
-          continue;
+          replacements.emplace_back(first_named.at(inst.name), entry);
+      if (!replacements.empty()) {
+        SheetRipup ripup(sheet);
+        for (const auto& [inst, entry] : replacements) {
+          const SymbolDef* to_def = out.find_symbol(entry->to);
+          const SymbolDef* from_def = src.find_symbol(entry->from);
+          if (!to_def || !from_def) {
+            diags.error("replacement-symbol-missing",
+                        "target library lacks symbol " + entry->to.str(),
+                        {"sch.replace", sheet.instances[inst].name});
+            continue;
+          }
+          // Pin positions must be located on the already-rescaled sheet.
+          SymbolDef from_scaled = *from_def;
+          for (SymbolPin& pin : from_scaled.pins)
+            pin.pos = scaler.point(pin.pos);
+          ripup.replace(inst, *entry, from_scaled, *to_def,
+                        config.ripup_policy, report.ripup, diags);
         }
-        // Pin positions must be located on the already-rescaled sheet.
-        SymbolDef from_scaled = *from_def;
-        for (SymbolPin& pin : from_scaled.pins)
-          pin.pos = scaler.point(pin.pos);
-        replace_component(sheet, name, *entry, from_scaled, *to_def,
-                          config.ripup_policy, report.ripup, diags);
       }
 
       // ---- step 4: bus syntax translation on labels ----
@@ -230,6 +240,9 @@ MigrationResult migrate_design(const Design& src,
       return Transform(base::Orient::R0, at - pin_local);
     };
 
+    // Connectors chosen by steps 5 and 6, per sheet, in placement order.
+    std::vector<std::vector<PendingConnector>> connectors(sch.sheets.size());
+
     // ---- step 5: hierarchy connectors ----
     if (config.target.requires_hier_connectors) {
       const SymbolDef* cell_symbol = nullptr;
@@ -240,8 +253,8 @@ MigrationResult migrate_design(const Design& src,
         for (const SymbolPin& pin : cell_symbol->pins) {
           std::string want = translate_text(pin.name);
           bool placed = false;
-          for (Sheet& sheet : sch.sheets) {
-            for (const NetLabel& label : sheet.labels) {
+          for (std::size_t s = 0; s < sch.sheets.size() && !placed; ++s) {
+            for (const NetLabel& label : sch.sheets[s].labels) {
               if (label.text != want) continue;
               SymbolKey key = pin.dir == PinDir::Input    ? config.hier_in
                               : pin.dir == PinDir::Output ? config.hier_out
@@ -252,13 +265,11 @@ MigrationResult migrate_design(const Design& src,
               conn.placement = connector_placement(key, label.at);
               conn.props.set("port", want);
               conn.props.set("dir", to_string(pin.dir));
-              ensure_connectable(sheet, label.at);
-              sheet.instances.push_back(std::move(conn));
+              connectors[s].push_back({label.at, std::move(conn)});
               ++report.hier_connectors_added;
               placed = true;
               break;
             }
-            if (placed) break;
           }
           if (!placed)
             diags.warn("hier-port-unlabeled",
@@ -276,7 +287,8 @@ MigrationResult migrate_design(const Design& src,
         if (base::ends_with(name, config.target.global_suffix) &&
             !config.target.global_suffix.empty())
           continue;  // globals connect by themselves
-        for (Sheet& sheet : sch.sheets) {
+        for (std::size_t s = 0; s < sch.sheets.size(); ++s) {
+          const Sheet& sheet = sch.sheets[s];
           if (!pages.count(sheet.number)) continue;
           // Find the label with this name on this page.
           for (const NetLabel& label : sheet.labels) {
@@ -293,12 +305,22 @@ MigrationResult migrate_design(const Design& src,
             conn.symbol = config.offpage;
             conn.placement = connector_placement(config.offpage, label.at);
             conn.props.set("net", label.text);
-            ensure_connectable(sheet, label.at);
-            sheet.instances.push_back(std::move(conn));
+            connectors[s].push_back({label.at, std::move(conn)});
             ++report.offpage_connectors_added;
             break;
           }
         }
+      }
+    }
+
+    // Attach the connectors, one wire index per sheet that gets any.
+    for (std::size_t s = 0; s < sch.sheets.size(); ++s) {
+      if (connectors[s].empty()) continue;
+      Sheet& sheet = sch.sheets[s];
+      WireIndex wires(sheet);
+      for (PendingConnector& c : connectors[s]) {
+        ensure_connectable(sheet, wires, c.at);
+        sheet.instances.push_back(std::move(c.inst));
       }
     }
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <unordered_map>
 
 #include "base/strings.hpp"
+#include "schematic/wire_index.hpp"
 
 namespace interop::sch {
 
@@ -30,10 +32,11 @@ class UnionFind {
 };
 
 /// Geometry nodes of one sheet: every distinct point that participates in
-/// connectivity (wire endpoints, junctions, pin positions, label anchors).
+/// connectivity (wire endpoints, junctions, pin positions, label anchors),
+/// plus the sheet's wire index for "which wires touch this point".
 class SheetNodes {
  public:
-  explicit SheetNodes(const Sheet& sheet) : sheet_(sheet) {
+  explicit SheetNodes(const Sheet& sheet) : wires(sheet) {
     for (const Segment& w : sheet.wires) {
       id_of(w.a);
       id_of(w.b);
@@ -49,30 +52,10 @@ class SheetNodes {
 
   std::size_t count() const { return next_; }
 
-  /// Segments containing `p` anywhere (endpoint or interior).
-  std::vector<std::size_t> segments_at(const Point& p) const {
-    std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < sheet_.wires.size(); ++i)
-      if (sheet_.wires[i].contains(p)) out.push_back(i);
-    return out;
-  }
-
-  /// Segments having `p` as an endpoint.
-  std::vector<std::size_t> segments_ending_at(const Point& p) const {
-    std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < sheet_.wires.size(); ++i)
-      if (sheet_.wires[i].a == p || sheet_.wires[i].b == p) out.push_back(i);
-    return out;
-  }
-
-  bool has_junction(const Point& p) const {
-    return std::find(sheet_.junctions.begin(), sheet_.junctions.end(), p) !=
-           sheet_.junctions.end();
-  }
+  const WireIndex wires;
 
  private:
-  const Sheet& sheet_;
-  std::map<Point, std::size_t> ids_;
+  std::unordered_map<Point, std::size_t, PointHash> ids_;
   std::size_t next_ = 0;
 };
 
@@ -152,6 +135,7 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
     struct PinSite {
       std::size_t node;
       const Instance* inst;
+      const SymbolDef* def;
       const SymbolPin* pin;
       Point pos;
     };
@@ -168,7 +152,7 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
       }
       for (const SymbolPin& pin : def->pins) {
         Point pos = inst.placement.apply(pin.pos);
-        pin_sites.push_back({nodes.id_of(pos), &inst, &pin, pos});
+        pin_sites.push_back({nodes.id_of(pos), &inst, def, &pin, pos});
       }
     }
 
@@ -188,33 +172,34 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
     // Junction dots connect interior crossings/tees.
     for (const Point& j : sheet.junctions) {
       std::size_t jid = nodes.id_of(j);
-      for (std::size_t si : nodes.segments_at(j))
+      for (std::size_t si : nodes.wires.touching(j))
         uf.unite(jid, nodes.id_of(sheet.wires[si].a));
     }
+
+    // Pin sites per node: coincident pins share a node id.
+    std::vector<std::size_t> pins_at(nodes.count(), 0);
+    for (const PinSite& site : pin_sites) ++pins_at[site.node];
 
     // Pins: connect when the pin sits on a wire endpoint, or on a wire
     // interior that carries a junction dot. Coincident pins connect by
     // abutment because they share the node id.
     for (const PinSite& site : pin_sites) {
       bool wired = false;
-      if (!nodes.segments_ending_at(site.pos).empty()) {
+      if (!nodes.wires.ending_at(site.pos).empty()) {
         wired = true;  // endpoint: id_of already unified via segment union
-      } else if (nodes.has_junction(site.pos) &&
-                 !nodes.segments_at(site.pos).empty()) {
-        wired = true;
-      } else if (!nodes.segments_at(site.pos).empty()) {
-        diags.warn("pin-crosses-wire",
-                   "pin " + site.inst->name + "." + site.pin->name +
-                       " lies on a wire interior without a junction; "
-                       "not connected",
-                   {"sch.extract", page_obj + "/" + site.inst->name});
+      } else if (!nodes.wires.touching(site.pos).empty()) {
+        if (nodes.wires.has_junction(site.pos))
+          wired = true;
+        else
+          diags.warn("pin-crosses-wire",
+                     "pin " + site.inst->name + "." + site.pin->name +
+                         " lies on a wire interior without a junction; "
+                         "not connected",
+                     {"sch.extract", page_obj + "/" + site.inst->name});
       }
       if (!wired) {
         // Dangling pin: forms (or joins) a node only with coincident pins.
-        bool shared = false;
-        for (const PinSite& other : pin_sites)
-          if (&other != &site && other.pos == site.pos) shared = true;
-        if (!shared)
+        if (pins_at[site.node] == 1)
           diags.note("dangling-pin",
                      "pin " + site.inst->name + "." + site.pin->name +
                          " is unconnected",
@@ -224,7 +209,7 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
 
     // Labels must land on a wire.
     for (const LabelSite& site : label_sites) {
-      std::vector<std::size_t> segs = nodes.segments_at(site.label->at);
+      std::vector<std::size_t> segs = nodes.wires.touching(site.label->at);
       if (segs.empty()) {
         diags.warn("floating-label",
                    "label '" + site.label->text + "' is not on any wire",
@@ -245,7 +230,7 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
       WireGroup& g = groups[uf.find(site.node)];
       g.note_point(site.pos);
       const Instance& inst = *site.inst;
-      const SymbolDef* def = design.find_symbol(inst.symbol);
+      const SymbolDef* def = site.def;
       switch (def->role) {
         case SymbolRole::Component:
           g.connections.insert({inst.name, site.pin->name});

@@ -1,46 +1,37 @@
 #include "schematic/ripup.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 #include <vector>
 
 namespace interop::sch {
 
-namespace {
+SheetRipup::SheetRipup(Sheet& sheet) : sheet_(sheet), index_(sheet) {}
 
-/// Indices of all segments transitively connected (by shared endpoints or
-/// junction-dotted interior contacts) to any segment in `seeds`.
-std::set<std::size_t> flood_net(const Sheet& sheet,
-                                const std::set<std::size_t>& seeds) {
-  std::set<std::size_t> seen = seeds;
-  std::vector<std::size_t> work(seeds.begin(), seeds.end());
-  auto joined = [&sheet](const Segment& a, const Segment& b) {
-    if (a.a == b.a || a.a == b.b || a.b == b.a || a.b == b.b) return true;
-    for (const Point& j : sheet.junctions)
-      if (a.contains(j) && b.contains(j)) return true;
-    return false;
-  };
-  while (!work.empty()) {
-    std::size_t cur = work.back();
-    work.pop_back();
-    for (std::size_t i = 0; i < sheet.wires.size(); ++i) {
-      if (seen.count(i)) continue;
-      if (joined(sheet.wires[cur], sheet.wires[i])) {
-        seen.insert(i);
-        work.push_back(i);
-      }
-    }
-  }
-  return seen;
+SheetRipup::~SheetRipup() { finish(); }
+
+void SheetRipup::finish() {
+  if (finished_) return;
+  finished_ = true;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < sheet_.wires.size(); ++i)
+    if (!index_.removed(i)) sheet_.wires[kept++] = sheet_.wires[i];
+  sheet_.wires.resize(kept);
+}
+
+void SheetRipup::add_wire(const Segment& s) {
+  sheet_.wires.push_back(s);
+  index_.add_wire();
 }
 
 /// Route from `from` to `to` with at most two axis-parallel segments,
 /// preferring a corner outside `avoid`. Appends to sheet.wires.
-std::int64_t route_l(Sheet& sheet, const Point& from, const Point& to,
-                     const Rect& avoid, RipupStats& stats) {
+std::int64_t SheetRipup::route_l(const Point& from, const Point& to,
+                                 const Rect& avoid, RipupStats& stats) {
   if (from == to) return 0;
   if (from.x == to.x || from.y == to.y) {
-    sheet.wires.push_back({from, to});
+    add_wire({from, to});
     ++stats.segments_rerouted;
     return base::manhattan(from, to);
   }
@@ -49,22 +40,19 @@ std::int64_t route_l(Sheet& sheet, const Point& from, const Point& to,
   Point corner = avoid.contains(corner1) && !avoid.contains(corner2)
                      ? corner2
                      : corner1;
-  sheet.wires.push_back({from, corner});
-  sheet.wires.push_back({corner, to});
+  add_wire({from, corner});
+  add_wire({corner, to});
   stats.segments_rerouted += 2;
   return base::manhattan(from, corner) + base::manhattan(corner, to);
 }
 
-}  // namespace
-
-bool replace_component(Sheet& sheet, const std::string& inst_name,
-                       const SymbolMapEntry& entry, const SymbolDef& from_def_,
-                       const SymbolDef& to_def, RipupPolicy policy,
-                       RipupStats& stats, base::DiagnosticEngine& diags) {
-  auto idx = sheet.find_instance(inst_name);
-  if (!idx) return false;
-  Instance& inst = sheet.instances[*idx];
-  const SymbolDef* from_def = &from_def_;
+void SheetRipup::replace(std::size_t inst_idx, const SymbolMapEntry& entry,
+                         const SymbolDef& from_def, const SymbolDef& to_def,
+                         RipupPolicy policy, RipupStats& stats,
+                         base::DiagnosticEngine& diags) {
+  assert(!finished_ && "SheetRipup::replace after finish()");
+  Instance& inst = sheet_.instances[inst_idx];
+  const std::vector<Segment>& wires = sheet_.wires;
 
   // Old pin endpoints, in source-pin order.
   struct PinWork {
@@ -75,28 +63,31 @@ bool replace_component(Sheet& sheet, const std::string& inst_name,
     std::vector<Point> stubs;          ///< far endpoints to reroute from
   };
   std::vector<PinWork> work;
-  std::set<std::size_t> seed_segments;
-  for (const SymbolPin& pin : from_def->pins) {
+  std::vector<std::size_t> seed_segments;
+  for (const SymbolPin& pin : from_def.pins) {
     PinWork w;
     w.from_pin = pin.name;
     w.to_pin = SymbolMap::map_pin(entry, pin.name);
     w.old_pos = inst.placement.apply(pin.pos);
-    for (std::size_t i = 0; i < sheet.wires.size(); ++i) {
-      const Segment& s = sheet.wires[i];
-      if (s.a == w.old_pos || s.b == w.old_pos) {
-        w.ripped.push_back(i);
-        w.stubs.push_back(s.a == w.old_pos ? s.b : s.a);
-        seed_segments.insert(i);
-      }
+    w.ripped = index_.ending_at(w.old_pos);
+    for (std::size_t i : w.ripped) {
+      const Segment& s = wires[i];
+      w.stubs.push_back(s.a == w.old_pos ? s.b : s.a);
     }
+    seed_segments.insert(seed_segments.end(), w.ripped.begin(),
+                         w.ripped.end());
     work.push_back(std::move(w));
   }
+  std::sort(seed_segments.begin(), seed_segments.end());
+  seed_segments.erase(
+      std::unique(seed_segments.begin(), seed_segments.end()),
+      seed_segments.end());
 
   // What the naive policy would rip: the entire nets touching the instance.
-  std::set<std::size_t> full = flood_net(sheet, seed_segments);
+  std::vector<std::size_t> full = index_.flood(seed_segments);
   stats.fullnet_would_rip += full.size();
 
-  const std::set<std::size_t>& to_rip =
+  const std::vector<std::size_t>& to_rip =
       policy == RipupPolicy::Minimal ? seed_segments : full;
   stats.segments_ripped += to_rip.size();
 
@@ -113,8 +104,7 @@ bool replace_component(Sheet& sheet, const std::string& inst_name,
     std::set<std::size_t> assigned;
     for (const PinWork& w : work) {
       if (w.ripped.empty()) continue;
-      std::set<std::size_t> seeds(w.ripped.begin(), w.ripped.end());
-      std::set<std::size_t> group = flood_net(sheet, seeds);
+      std::vector<std::size_t> group = index_.flood(w.ripped);
       // Skip groups already rebuilt from another pin (same net on 2 pins).
       bool fresh = true;
       for (std::size_t i : group)
@@ -127,8 +117,8 @@ bool replace_component(Sheet& sheet, const std::string& inst_name,
       // Endpoint usage count within the group.
       std::map<Point, int> uses;
       for (std::size_t i : group) {
-        ++uses[sheet.wires[i].a];
-        ++uses[sheet.wires[i].b];
+        ++uses[wires[i].a];
+        ++uses[wires[i].b];
       }
       std::set<Point> old_pins;
       for (const PinWork& ww : work) old_pins.insert(ww.old_pos);
@@ -143,10 +133,11 @@ bool replace_component(Sheet& sheet, const std::string& inst_name,
       }
       // Label points must stay electrically attached, wherever they sat on
       // the old wiring (leaf, tee, or interior).
-      for (const NetLabel& label : sheet.labels) {
+      for (const NetLabel& label : sheet_.labels) {
         bool on_group = false;
-        for (std::size_t i : group)
-          if (sheet.wires[i].contains(label.at)) on_group = true;
+        for (std::size_t i : index_.touching(label.at))
+          if (std::binary_search(group.begin(), group.end(), i))
+            on_group = true;
         if (on_group && !old_pins.count(label.at))
           rb.anchors.push_back(label.at);
       }
@@ -157,11 +148,7 @@ bool replace_component(Sheet& sheet, const std::string& inst_name,
     }
   }
 
-  // Remove ripped segments (descending index order keeps indices valid).
-  std::vector<std::size_t> ripped(to_rip.begin(), to_rip.end());
-  std::sort(ripped.rbegin(), ripped.rend());
-  for (std::size_t i : ripped)
-    sheet.wires.erase(sheet.wires.begin() + static_cast<std::ptrdiff_t>(i));
+  for (std::size_t i : to_rip) index_.remove_wire(i);
 
   // Re-place the instance with the mapped symbol.
   inst.symbol = entry.to;
@@ -197,22 +184,22 @@ bool replace_component(Sheet& sheet, const std::string& inst_name,
         stats.next_rebuild_lane -= 2;
         Point down_a{cur.x, lane};
         Point down_b{anchor.x, lane};
-        sheet.wires.push_back({cur, down_a});
+        add_wire({cur, down_a});
         ++stats.segments_rerouted;
         stats.reroute_length += base::manhattan(cur, down_a);
         if (down_a != down_b) {
-          sheet.wires.push_back({down_a, down_b});
+          add_wire({down_a, down_b});
           ++stats.segments_rerouted;
           stats.reroute_length += base::manhattan(down_a, down_b);
         }
-        sheet.wires.push_back({down_b, anchor});
+        add_wire({down_b, anchor});
         ++stats.segments_rerouted;
         stats.reroute_length += base::manhattan(down_b, anchor);
         cur = anchor;
       }
     }
     ++stats.instances_replaced;
-    return true;
+    return;
   }
 
   for (const PinWork& w : work) {
@@ -228,14 +215,27 @@ bool replace_component(Sheet& sheet, const std::string& inst_name,
     }
     Point new_pos = inst.placement.apply(new_pin->pos);
     for (const Point& stub : w.stubs) {
-      stats.reroute_length += route_l(sheet, stub, new_pos, body, stats);
+      stats.reroute_length += route_l(stub, new_pos, body, stats);
     }
     // More than one stub converging on the pin needs a junction dot so the
     // rejoined wires stay electrically one net.
-    if (w.stubs.size() > 1) sheet.junctions.push_back(new_pos);
+    if (w.stubs.size() > 1) {
+      sheet_.junctions.push_back(new_pos);
+      index_.add_junction();
+    }
   }
 
   ++stats.instances_replaced;
+}
+
+bool replace_component(Sheet& sheet, const std::string& inst_name,
+                       const SymbolMapEntry& entry, const SymbolDef& from_def,
+                       const SymbolDef& to_def, RipupPolicy policy,
+                       RipupStats& stats, base::DiagnosticEngine& diags) {
+  auto idx = sheet.find_instance(inst_name);
+  if (!idx) return false;
+  SheetRipup(sheet).replace(*idx, entry, from_def, to_def, policy, stats,
+                            diags);
   return true;
 }
 

@@ -7,6 +7,13 @@
 // the pins of those components", reroute those segments to the replacement
 // pins, minimize the number of ripped segments, and keep the result
 // graphically similar to the original.
+//
+// Both policies find the wires to rip through the sheet's WireIndex: the
+// seeds are the wires ending on a replaced pin, and a flood from them gives
+// the whole nets (which Minimal still measures, as RipupStats::
+// fullnet_would_rip). A SheetRipup keeps one index for every replacement on
+// a sheet, so each replacement costs the size of the nets it touches, not
+// the size of the sheet.
 
 #include <cstdint>
 #include <map>
@@ -15,6 +22,7 @@
 #include "base/diagnostics.hpp"
 #include "schematic/mapping.hpp"
 #include "schematic/model.hpp"
+#include "schematic/wire_index.hpp"
 
 namespace interop::sch {
 
@@ -40,10 +48,45 @@ struct RipupStats {
   std::int64_t next_rebuild_lane = -1001;
 };
 
+/// Component replacements on one sheet, sharing one wire index. Ripped
+/// wires stay in sheet.wires, marked removed in the index, until finish()
+/// erases them in one pass; rerouted wires are appended as they are made.
+/// The final wire order is the one that erasing each ripped wire at once
+/// would give.
+class SheetRipup {
+ public:
+  explicit SheetRipup(Sheet& sheet);
+  /// Calls finish().
+  ~SheetRipup();
+  SheetRipup(const SheetRipup&) = delete;
+  SheetRipup& operator=(const SheetRipup&) = delete;
+
+  /// Replace sheet.instances[inst] as replace_component() does.
+  void replace(std::size_t inst, const SymbolMapEntry& entry,
+               const SymbolDef& from_def, const SymbolDef& to_def,
+               RipupPolicy policy, RipupStats& stats,
+               base::DiagnosticEngine& diags);
+
+  /// Erase the ripped wires from the sheet. The index is stale after
+  /// this, so further replace() calls are not allowed; calling finish()
+  /// again does nothing. The index's memory is freed with the SheetRipup.
+  void finish();
+
+ private:
+  void add_wire(const Segment& s);
+  std::int64_t route_l(const Point& from, const Point& to, const Rect& avoid,
+                       RipupStats& stats);
+
+  Sheet& sheet_;
+  WireIndex index_;
+  bool finished_ = false;
+};
+
 /// Replace instance `inst_name` on `sheet` according to `entry`, where the
 /// instance currently uses `from_def` and becomes `to_def`. Pins are matched
 /// through entry.pin_map; a source pin whose mapped name is missing on the
 /// target symbol is reported as an error and its wires are left dangling.
+/// One-shot form of SheetRipup.
 ///
 /// Returns false when the instance cannot be found.
 bool replace_component(Sheet& sheet, const std::string& inst_name,
