@@ -63,7 +63,9 @@ int main() {
                     {"components", "policy", "ripped", "rerouted",
                      "reroute-len", "similarity", "verified"});
 
+  bool ok = true;
   for (int components : {8, 16, 32, 64}) {
+    std::size_t minimal_ripped = 0;
     for (RipupPolicy policy : {RipupPolicy::Minimal, RipupPolicy::FullNet}) {
       RipupStats total;
       double sim = 0.0;
@@ -85,11 +87,19 @@ int main() {
                      ReportTable::num(total.reroute_length),
                      ReportTable::num(sim / kSeeds, 3),
                      std::to_string(verified) + "/" + std::to_string(kSeeds)});
+      if (verified != kSeeds) ok = false;
+      if (policy == RipupPolicy::Minimal)
+        minimal_ripped = total.segments_ripped;
+      else if (minimal_ripped >= total.segments_ripped)
+        ok = false;
     }
   }
   table.print(std::cout);
   std::cout << "Expected shape: minimal rips fewer segments than full-net at\n"
                "every size, scores higher graphical similarity, and both\n"
                "policies verify electrically clean.\n";
-  return 0;
+  if (!ok)
+    std::cerr << "F1: a row failed verification, or minimal rip-up did not "
+                 "rip fewer segments than full-net\n";
+  return ok ? 0 : 1;
 }

@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "al/interp.hpp"
 #include "core/methodology.hpp"
 #include "core/optimize.hpp"
@@ -67,19 +69,26 @@ void BM_MazeRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_MazeRoute)->Arg(16)->Arg(32)->Arg(64);
 
+// Migrate plus independent verification of a two-sheet design with the
+// given components per sheet and half as many two-pin nets (at least 8).
+// Items are components, so items/s flat across sizes means linear cost.
 void BM_SchematicMigration(benchmark::State& state) {
   using namespace interop::sch;
   GeneratorOptions opt;
   opt.seed = 5;
   opt.components_per_sheet = int(state.range(0));
+  opt.nets_per_sheet = std::max(8, opt.components_per_sheet / 2);
   Scenario sc = make_exar_scenario(opt);
   for (auto _ : state) {
     interop::base::DiagnosticEngine diags;
     MigrationResult result = migrate_design(sc.source, sc.config, diags);
-    benchmark::DoNotOptimize(result.report.sheets);
+    auto diffs = verify_migration(sc.source, result.design, sc.config, diags);
+    benchmark::DoNotOptimize(diffs.size());
   }
+  state.SetItemsProcessed(state.iterations() *
+                          std::int64_t(sc.source.instance_count()));
 }
-BENCHMARK(BM_SchematicMigration)->Arg(12)->Arg(48);
+BENCHMARK(BM_SchematicMigration)->Arg(12)->Arg(48)->Arg(200)->Arg(1250);
 
 void BM_FlowAnalysis(benchmark::State& state) {
   using namespace interop::core;
