@@ -6,8 +6,11 @@
 // compare) and writes the result. This bench times those four layers with
 // a stopwatch on generated Exar designs from 24 to 10k components and
 // prints milliseconds per design, plus the cost per component, which stays
-// flat when every layer is linear in the design size. Only release-preset
-// numbers mean anything. Exits non-zero if a migration fails verification.
+// flat when every layer is linear in the design size. Verify is also split
+// into its three parts, run the way verify_migration runs them: extracting
+// the source netlist, extracting the migrated one, and mapping the golden
+// names plus the compare. Only release-preset numbers mean anything. Exits
+// non-zero if a migration fails verification.
 
 #include <chrono>
 #include <iostream>
@@ -26,6 +29,47 @@ using Clock = std::chrono::steady_clock;
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
+/// Verify's parts, timed separately.
+struct VerifyTimes {
+  double extract_source_ms = 0;
+  double extract_migrated_ms = 0;
+  double compare_ms = 0;
+
+  double total() const {
+    return extract_source_ms + extract_migrated_ms + compare_ms;
+  }
+};
+
+/// verify_migration, with a stopwatch on each part. Returns the diff count.
+std::size_t timed_verify(const Design& src, const Design& migrated,
+                         const MigrationConfig& config,
+                         interop::base::DiagnosticEngine& diags,
+                         VerifyTimes& times) {
+  std::size_t diffs = 0;
+  for (const auto& [cell, sch_src] : src.schematics()) {
+    const Schematic* sch_dst = migrated.find_schematic(cell);
+    if (!sch_dst) {
+      ++diffs;
+      continue;
+    }
+    auto t0 = Clock::now();
+    Netlist golden = extract_netlist(src, sch_src, config.source, diags);
+    auto t1 = Clock::now();
+    Netlist subject =
+        extract_netlist(migrated, *sch_dst, config.target, diags);
+    auto t2 = Clock::now();
+    diffs += compare_netlists(
+                 map_golden_netlist(std::move(golden), sch_src, config),
+                 subject)
+                 .size();
+    auto t3 = Clock::now();
+    times.extract_source_ms += ms_between(t0, t1);
+    times.extract_migrated_ms += ms_between(t1, t2);
+    times.compare_ms += ms_between(t2, t3);
+  }
+  return diffs;
 }
 
 struct Size {
@@ -47,10 +91,12 @@ int main() {
   ReportTable table(
       "Migration per layer (ms per design; us per component)",
       {"components", "designs", "total", "read", "migrate", "verify",
-       "write", "migrate us/comp", "migrate+verify us/comp"});
+       "extract src", "extract migrated", "compare", "write",
+       "migrate us/comp", "migrate+verify us/comp"});
   std::size_t diffs = 0;
   for (const Size& size : sizes) {
-    double read_ms = 0, migrate_ms = 0, verify_ms = 0, write_ms = 0;
+    double read_ms = 0, migrate_ms = 0, write_ms = 0;
+    VerifyTimes verify;
     std::size_t components = 0;
     for (int d = 0; d < size.designs; ++d) {
       GeneratorOptions opt;
@@ -68,18 +114,18 @@ int main() {
       MigrationResult result = migrate_design(source, sc.config, diags);
       auto t2 = Clock::now();
       diffs +=
-          verify_migration(source, result.design, sc.config, diags).size();
+          timed_verify(source, result.design, sc.config, diags, verify);
       auto t3 = Clock::now();
       std::string out = write_design(result.design);
       auto t4 = Clock::now();
 
       read_ms += ms_between(t0, t1);
       migrate_ms += ms_between(t1, t2);
-      verify_ms += ms_between(t2, t3);
       write_ms += ms_between(t3, t4);
       components += source.instance_count();
     }
     double n = size.designs;
+    double verify_ms = verify.total();
     double per_comp_us = 1000.0 / double(components);
     table.add_row({std::to_string(components / std::size_t(size.designs)),
                    std::to_string(size.designs),
@@ -88,6 +134,9 @@ int main() {
                    ReportTable::num(read_ms / n),
                    ReportTable::num(migrate_ms / n),
                    ReportTable::num(verify_ms / n),
+                   ReportTable::num(verify.extract_source_ms / n),
+                   ReportTable::num(verify.extract_migrated_ms / n),
+                   ReportTable::num(verify.compare_ms / n),
                    ReportTable::num(write_ms / n),
                    ReportTable::num(migrate_ms * per_comp_us, 1),
                    ReportTable::num((migrate_ms + verify_ms) * per_comp_us,

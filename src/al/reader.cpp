@@ -1,6 +1,7 @@
 #include "al/reader.hpp"
 
 #include <cctype>
+#include <string_view>
 
 #include "al/number.hpp"
 
@@ -8,21 +9,77 @@ namespace interop::al {
 
 namespace {
 
+/// A non-recursive reader: finished values wait on one value stack, and
+/// each open list or pending quote is a frame recording where its values
+/// start. Input nesting therefore never grows the C++ stack; the depth cap
+/// still applies because destroying, printing and evaluating a Value all
+/// recurse on its nesting.
 class Reader {
  public:
   explicit Reader(const std::string& src) : src_(src) {}
 
   std::vector<Value> read_all() {
     std::vector<Value> out;
-    skip_space();
-    while (pos_ < src_.size()) {
-      out.push_back(read_form());
+    while (true) {
       skip_space();
+      if (pos_ >= src_.size()) {
+        if (frames_.empty()) return out;
+        // A pending quote wants a form; an open list wants its ')'.
+        throw AlError(frames_.back().quote ? "unexpected end of input"
+                                           : "unterminated list");
+      }
+      char c = src_[pos_];
+      if (c == '(') {
+        ++pos_;
+        open(false);
+      } else if (c == ')') {
+        if (frames_.empty() || frames_.back().quote)
+          throw AlError("unexpected ')'");
+        ++pos_;
+        std::size_t start = frames_.back().start;
+        frames_.pop_back();
+        auto first = values_.begin() + std::ptrdiff_t(start);
+        Value list(Value::List(std::make_move_iterator(first),
+                               std::make_move_iterator(values_.end())));
+        values_.erase(first, values_.end());
+        finish(std::move(list), out);
+      } else if (c == '\'') {
+        ++pos_;
+        open(true);
+      } else if (c == '"') {
+        finish(read_string(), out);
+      } else {
+        finish(read_atom(), out);
+      }
     }
-    return out;
   }
 
  private:
+  struct Frame {
+    std::size_t start;  ///< index of the frame's first value
+    bool quote;         ///< 'x pending its form, else an open list
+  };
+
+  void open(bool quote) {
+    if (frames_.size() >= kMaxNesting)
+      throw AlError("nesting deeper than " + std::to_string(kMaxNesting) +
+                    " levels");
+    frames_.push_back({values_.size(), quote});
+  }
+
+  /// A complete value: it closes every quote waiting on it, then lands in
+  /// the innermost open list, or among the top-level forms.
+  void finish(Value v, std::vector<Value>& out) {
+    while (!frames_.empty() && frames_.back().quote) {
+      frames_.pop_back();
+      v = Value(Value::List{Value::sym("quote"), std::move(v)});
+    }
+    if (frames_.empty())
+      out.push_back(std::move(v));
+    else
+      values_.push_back(std::move(v));
+  }
+
   void skip_space() {
     while (pos_ < src_.size()) {
       char c = src_[pos_];
@@ -33,39 +90,6 @@ class Reader {
       } else {
         break;
       }
-    }
-  }
-
-  char peek() const {
-    if (pos_ >= src_.size()) throw AlError("unexpected end of input");
-    return src_[pos_];
-  }
-
-  Value read_form() {
-    skip_space();
-    char c = peek();
-    if (c == '(') return read_list();
-    if (c == ')') throw AlError("unexpected ')'");
-    if (c == '\'') {
-      ++pos_;
-      Value quoted = read_form();
-      return Value(Value::List{Value::sym("quote"), std::move(quoted)});
-    }
-    if (c == '"') return read_string();
-    return read_atom();
-  }
-
-  Value read_list() {
-    ++pos_;  // consume '('
-    Value::List items;
-    while (true) {
-      skip_space();
-      if (pos_ >= src_.size()) throw AlError("unterminated list");
-      if (src_[pos_] == ')') {
-        ++pos_;
-        return Value(std::move(items));
-      }
-      items.push_back(read_form());
     }
   }
 
@@ -100,7 +124,7 @@ class Reader {
   Value read_atom() {
     std::size_t start = pos_;
     while (pos_ < src_.size() && atom_char(src_[pos_])) ++pos_;
-    std::string tok = src_.substr(start, pos_ - start);
+    std::string_view tok(src_.data() + start, pos_ - start);
     if (tok == "nil") return Value::nil();
     if (tok == "#t") return Value(true);
     if (tok == "#f") return Value(false);
@@ -109,11 +133,13 @@ class Reader {
     // literal outside double range falls through to symbol.
     if (std::optional<std::int64_t> i = parse_int64(tok)) return Value(*i);
     if (std::optional<double> d = parse_double(tok)) return Value(*d);
-    return Value::sym(std::move(tok));
+    return Value::sym(std::string(tok));
   }
 
   const std::string& src_;
   std::size_t pos_ = 0;
+  std::vector<Value> values_;
+  std::vector<Frame> frames_;
 };
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 
 #include "base/strings.hpp"
@@ -348,27 +349,77 @@ MigrationResult migrate_design(const Design& src,
   return result;
 }
 
+Netlist map_golden_netlist(Netlist golden, const Schematic& sch_src,
+                           const MigrationConfig& config) {
+  // Rewrite a golden canonical name the way translation would have.
+  auto normalize_name = [&config](std::string& name) {
+    bool in_bits = false;
+    for (char& c : name) {
+      if (c == '[') in_bits = true;
+      if (c == ']') in_bits = false;
+      if (!in_bits && c != ']' && !config.target.legal_name_char(c)) c = '_';
+    }
+  };
+
+  // The symbol-map entry of each source instance; a name stands for the
+  // last instance carrying it.
+  DenseIds<std::string_view> inst_ids;
+  std::vector<const SymbolMapEntry*> inst_entry;
+  for (const Sheet& sheet : sch_src.sheets) {
+    inst_ids.reserve(inst_ids.size() + sheet.instances.size());
+    for (const Instance& inst : sheet.instances) {
+      std::uint32_t id = inst_ids.intern(inst.name);
+      if (id == inst_entry.size()) inst_entry.push_back(nullptr);
+      inst_entry[id] = config.symbol_map.find(inst.symbol);
+    }
+  }
+  auto renamed_pin = [&](const NetConnection& c) -> const std::string* {
+    std::uint32_t id = inst_ids.find(c.instance);
+    if (id == DenseIds<std::string_view>::kNone || !inst_entry[id])
+      return nullptr;
+    const auto& pin_map = inst_entry[id]->pin_map;
+    auto pin = pin_map.find(c.pin);
+    return pin == pin_map.end() || pin->second == c.pin ? nullptr
+                                                        : &pin->second;
+  };
+
+  Netlist mapped;
+  mapped.cell = std::move(golden.cell);
+  while (!golden.nets.empty()) {
+    auto node = golden.nets.extract(golden.nets.begin());
+    ExtractedNet& net = node.mapped();
+    normalize_name(node.key());
+    net.canonical = node.key();
+    // Map pin names through the symbol map; the set is rebuilt only when
+    // some pin is renamed.
+    if (std::any_of(net.connections.begin(), net.connections.end(),
+                    renamed_pin)) {
+      std::set<NetConnection> renamed;
+      for (const NetConnection& c : net.connections) {
+        const std::string* pin = renamed_pin(c);
+        renamed.insert({c.instance, pin ? *pin : c.pin});
+      }
+      net.connections = std::move(renamed);
+    }
+    // Names mostly stay in order, so the end is the usual insertion point.
+    auto slot = mapped.nets.insert(mapped.nets.end(), std::move(node));
+    if (!node) continue;
+    // Normalization collided two names (itself a finding): merge.
+    if (slot->second.canonical.empty()) {
+      slot->second = std::move(node.mapped());
+    } else {
+      for (const NetConnection& c : node.mapped().connections)
+        slot->second.connections.insert(c);
+    }
+  }
+  return mapped;
+}
+
 std::vector<NetlistDiff> verify_migration(const Design& src,
                                           const Design& migrated,
                                           const MigrationConfig& config,
                                           base::DiagnosticEngine& diags) {
   std::vector<NetlistDiff> all;
-
-  // Rewrite a golden canonical name the way translation would have.
-  auto normalize_name = [&config](const std::string& name) {
-    std::string out;
-    bool in_bits = false;
-    for (char c : name) {
-      if (c == '[') in_bits = true;
-      if (c == ']') in_bits = false;
-      if (in_bits || c == ']' || config.target.legal_name_char(c))
-        out += c;
-      else
-        out += '_';
-    }
-    return out;
-  };
-
   for (const auto& [cell, sch_src] : src.schematics()) {
     const Schematic* sch_dst = migrated.find_schematic(cell);
     if (!sch_dst) {
@@ -380,40 +431,8 @@ std::vector<NetlistDiff> verify_migration(const Design& src,
     Netlist golden = extract_netlist(src, sch_src, config.source, diags);
     Netlist subject =
         extract_netlist(migrated, *sch_dst, config.target, diags);
-
-    // Map golden pin names through the symbol map, and normalize net names.
-    std::map<std::string, SymbolKey> inst_symbols;
-    for (const Sheet& sheet : sch_src.sheets)
-      for (const Instance& inst : sheet.instances)
-        inst_symbols[inst.name] = inst.symbol;
-
-    Netlist mapped;
-    mapped.cell = golden.cell;
-    for (const auto& [name, net] : golden.nets) {
-      ExtractedNet copy = net;
-      copy.canonical = normalize_name(name);
-      copy.connections.clear();
-      for (const NetConnection& c : net.connections) {
-        NetConnection nc = c;
-        auto it = inst_symbols.find(c.instance);
-        if (it != inst_symbols.end()) {
-          if (const SymbolMapEntry* entry =
-                  config.symbol_map.find(it->second))
-            nc.pin = SymbolMap::map_pin(*entry, c.pin);
-        }
-        copy.connections.insert(nc);
-      }
-      // Merge in case normalization collides two names (itself a finding).
-      ExtractedNet& slot = mapped.nets[copy.canonical];
-      if (slot.canonical.empty()) {
-        slot = copy;
-      } else {
-        for (const NetConnection& c : copy.connections)
-          slot.connections.insert(c);
-      }
-    }
-
-    std::vector<NetlistDiff> diffs = compare_netlists(mapped, subject);
+    std::vector<NetlistDiff> diffs = compare_netlists(
+        map_golden_netlist(std::move(golden), sch_src, config), subject);
     for (NetlistDiff& d : diffs) d.net = cell + "/" + d.net;
     all.insert(all.end(), diffs.begin(), diffs.end());
   }

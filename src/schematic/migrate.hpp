@@ -83,9 +83,18 @@ struct MigrationResult {
 MigrationResult migrate_design(const Design& src, const MigrationConfig& config,
                                base::DiagnosticEngine& diags);
 
+/// The golden side of verification for one cell: `golden`, the netlist of
+/// the source cell `sch_src` under the source dialect, with pin names mapped
+/// through the symbol map and net names rewritten the way label translation
+/// rewrites them. Nets whose names collide merge their connections.
+Netlist map_golden_netlist(Netlist golden, const Schematic& sch_src,
+                           const MigrationConfig& config);
+
 /// Independent verification: extract the source under the source dialect and
 /// the migrated design under the target dialect, normalize golden pin names
 /// through the symbol map, and compare per cell. Returns all differences.
+/// Per cell this is extract_netlist twice, map_golden_netlist and
+/// compare_netlists.
 std::vector<NetlistDiff> verify_migration(const Design& src,
                                           const Design& migrated,
                                           const MigrationConfig& config,

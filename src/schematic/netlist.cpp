@@ -1,8 +1,9 @@
 #include "schematic/netlist.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <functional>
 #include <numeric>
+#include <string_view>
 #include <unordered_map>
 
 #include "base/strings.hpp"
@@ -12,60 +13,64 @@ namespace interop::sch {
 
 namespace {
 
+constexpr std::uint32_t kNone = WireIndex::kNone;
+
 /// Union-find over dense ids.
 class UnionFind {
  public:
   explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
+    std::iota(parent_.begin(), parent_.end(), 0u);
   }
-  std::size_t find(std::size_t x) {
+  std::uint32_t find(std::uint32_t x) {
     while (parent_[x] != x) {
       parent_[x] = parent_[parent_[x]];
       x = parent_[x];
     }
     return x;
   }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
+  void unite(std::uint32_t a, std::uint32_t b) { parent_[find(a)] = find(b); }
 
  private:
-  std::vector<std::size_t> parent_;
+  std::vector<std::uint32_t> parent_;
 };
 
-/// Geometry nodes of one sheet: every distinct point that participates in
-/// connectivity (wire endpoints, junctions, pin positions, label anchors),
-/// plus the sheet's wire index for "which wires touch this point".
-class SheetNodes {
- public:
-  explicit SheetNodes(const Sheet& sheet) : wires(sheet) {
-    for (const Segment& w : sheet.wires) {
-      id_of(w.a);
-      id_of(w.b);
-    }
-    for (const Point& j : sheet.junctions) id_of(j);
+PinDir dir_from_text(const std::string& s) {
+  if (s == "input") return PinDir::Input;
+  if (s == "output") return PinDir::Output;
+  return PinDir::Inout;
+}
+
+/// A label of the cell with its names, parsed once.
+struct LabelNames {
+  const NetLabel* label = nullptr;
+  NetRef ref;                      ///< parsed under the cell's known buses
+  std::vector<std::string> bits;   ///< canonical bits as written
+  bool global = false;             ///< carries the dialect's global suffix
+  std::vector<std::string> clean;  ///< bits without the suffix (global only)
+
+  const std::vector<std::string>& names() const {
+    return global ? clean : bits;
   }
-
-  std::size_t id_of(const Point& p) {
-    auto [it, added] = ids_.try_emplace(p, next_);
-    if (added) ++next_;
-    return it->second;
-  }
-
-  std::size_t count() const { return next_; }
-
-  const WireIndex wires;
-
- private:
-  std::unordered_map<Point, std::size_t, PointHash> ids_;
-  std::size_t next_ = 0;
 };
 
-/// Everything we learn about one connected wire group on one sheet.
+/// An instance pin on a sheet, with what it contributes to its group.
+struct PinSite {
+  std::uint32_t node;
+  const Instance* inst;
+  const SymbolDef* def;
+  const SymbolPin* pin;
+  Point pos;
+  /// Net names: an off-page connector's bits, a global symbol's net, or a
+  /// hier connector's port bits.
+  std::vector<std::string> names;
+  PinDir port_dir = PinDir::Inout;  ///< HierPort only
+};
+
+/// One connected wire group of a sheet. Its pins and labels are chains,
+/// in sheet order, through SheetGroups::pin_next / label_next.
 struct WireGroup {
-  std::set<NetConnection> connections;
-  std::vector<std::string> label_texts;
-  std::vector<std::string> offpage_names;   ///< from off-page connectors
-  std::vector<std::string> global_names;    ///< from global-net symbols
-  std::vector<std::pair<std::string, PinDir>> ports;  ///< hier connectors
+  std::uint32_t pin_head = kNone, pin_tail = kNone;
+  std::uint32_t label_head = kNone, label_tail = kNone;
   Point anchor{0, 0};  ///< smallest point, for deterministic anon naming
   bool has_anchor = false;
 
@@ -77,10 +82,206 @@ struct WireGroup {
   }
 };
 
-PinDir dir_from_text(const std::string& s) {
-  if (s == "input") return PinDir::Input;
-  if (s == "output") return PinDir::Output;
-  return PinDir::Inout;
+/// The wire groups of one sheet, in deterministic (anchor) order.
+struct SheetGroups {
+  int page = 0;
+  std::vector<PinSite> pins;
+  std::vector<std::uint32_t> labels;  ///< per label site: cell label index
+  std::vector<std::uint32_t> pin_next, label_next;
+  std::vector<WireGroup> groups;
+  std::vector<std::uint32_t> order;  ///< group ids, sorted by anchor
+};
+
+/// "pin INST.PIN" followed by `tail`, built in one allocation.
+std::string pin_message(const PinSite& site, std::string_view tail) {
+  std::string m;
+  m.reserve(5 + site.inst->name.size() + site.pin->name.size() + tail.size());
+  m += "pin ";
+  m += site.inst->name;
+  m += '.';
+  m += site.pin->name;
+  m += tail;
+  return m;
+}
+
+template <class Chain>
+void chain(std::uint32_t& head, std::uint32_t& tail, Chain& next,
+           std::uint32_t item) {
+  if (tail == kNone)
+    head = item;
+  else
+    next[tail] = item;
+  tail = item;
+}
+
+/// Connectivity of one sheet in one pass over its wire index: union-find
+/// over the index's nodes (wire ends, dots) plus pin and label points,
+/// then one group per connected root. Reports pin and label diagnostics.
+SheetGroups group_sheet(const Design& design, const Sheet& sheet,
+                        std::uint32_t first_label,
+                        base::DiagnosticEngine& diags) {
+  SheetGroups sg;
+  sg.page = sheet.number;
+  const WireIndex index(sheet);
+  const std::string page_obj = "page" + std::to_string(sheet.number);
+
+  for (const Instance& inst : sheet.instances) {
+    const SymbolDef* def = design.find_symbol(inst.symbol);
+    if (!def) {
+      diags.error("unknown-symbol",
+                  "instance " + inst.name + " references missing symbol " +
+                      inst.symbol.str(),
+                  {"sch.extract", page_obj + "/" + inst.name});
+      continue;
+    }
+    for (const SymbolPin& pin : def->pins) {
+      Point pos = inst.placement.apply(pin.pos);
+      sg.pins.push_back({kNone, &inst, def, &pin, pos, {}});
+    }
+  }
+
+  // Pins and labels off the index's nodes get ids after them, in the order
+  // they are met.
+  const auto wired_nodes = std::uint32_t(index.node_count());
+  DenseIds<Point> extra;
+  extra.reserve(sg.pins.size() + sheet.labels.size());
+  auto node_at = [&](const Point& p) {
+    std::uint32_t n = index.node_of(p);
+    return n != kNone ? n : wired_nodes + extra.intern(p);
+  };
+  for (PinSite& site : sg.pins) site.node = node_at(site.pos);
+  std::vector<std::uint32_t> label_node;
+  label_node.reserve(sheet.labels.size());
+  for (std::size_t i = 0; i < sheet.labels.size(); ++i) {
+    label_node.push_back(node_at(sheet.labels[i].at));
+    sg.labels.push_back(first_label + std::uint32_t(i));
+  }
+  const std::size_t nodes = wired_nodes + extra.size();
+
+  // Union wires, then junction dots with the wires through them.
+  UnionFind uf(nodes);
+  for (std::size_t i = 0; i < sheet.wires.size(); ++i)
+    uf.unite(index.node_a(i), index.node_b(i));
+  for (const Point& j : sheet.junctions) {
+    std::uint32_t jid = index.node_of(j);
+    index.for_each_touching_ascending(
+        j, [&](std::size_t si) { uf.unite(jid, index.node_a(si)); });
+  }
+
+  // Pin sites per node: coincident pins share a node id.
+  std::vector<std::uint32_t> pins_at(nodes, 0);
+  for (const PinSite& site : sg.pins) ++pins_at[site.node];
+
+  // Pins: connect when the pin sits on a wire endpoint, or on a wire
+  // interior that carries a junction dot. Coincident pins connect by
+  // abutment because they share the node id.
+  for (const PinSite& site : sg.pins) {
+    bool on_index = site.node < wired_nodes;
+    bool wired = false;
+    if (on_index && index.is_wire_end(site.node)) {
+      wired = true;  // endpoint: already unified via segment union
+    } else if (index.first_touching(site.pos) != kNone) {
+      if (on_index && index.has_dot(site.node))
+        wired = true;
+      else
+        diags.warn("pin-crosses-wire",
+                   pin_message(site,
+                               " lies on a wire interior without a "
+                               "junction; not connected"),
+                   {"sch.extract", page_obj + "/" + site.inst->name});
+    }
+    if (!wired) {
+      // Dangling pin: forms (or joins) a node only with coincident pins.
+      if (pins_at[site.node] == 1)
+        diags.note("dangling-pin", pin_message(site, " is unconnected"),
+                   {"sch.extract", page_obj + "/" + site.inst->name});
+    }
+  }
+
+  // Labels must land on a wire.
+  for (std::size_t i = 0; i < sheet.labels.size(); ++i) {
+    const NetLabel& label = sheet.labels[i];
+    std::uint32_t first = index.first_touching(label.at);
+    if (first == kNone) {
+      diags.warn("floating-label",
+                 "label '" + label.text + "' is not on any wire",
+                 {"sch.extract", page_obj});
+    } else {
+      uf.unite(label_node[i], index.node_a(first));
+    }
+  }
+
+  // One group per root that a wire, pin or label reaches, numbered in
+  // ascending root order.
+  std::vector<std::uint32_t> group_of(nodes, kNone);
+  std::vector<std::uint32_t> wire_root(sheet.wires.size());
+  for (std::size_t i = 0; i < sheet.wires.size(); ++i)
+    group_of[wire_root[i] = uf.find(index.node_a(i))] = 0;
+  for (PinSite& site : sg.pins) group_of[site.node = uf.find(site.node)] = 0;
+  for (std::uint32_t& n : label_node) group_of[n = uf.find(n)] = 0;
+  std::uint32_t groups = 0;
+  for (std::uint32_t& g : group_of)
+    if (g != kNone) g = groups++;
+  sg.groups.resize(groups);
+
+  for (std::size_t i = 0; i < sheet.wires.size(); ++i) {
+    WireGroup& g = sg.groups[group_of[wire_root[i]]];
+    g.note_point(sheet.wires[i].a);
+    g.note_point(sheet.wires[i].b);
+  }
+  sg.pin_next.assign(sg.pins.size(), kNone);
+  for (std::uint32_t k = 0; k < sg.pins.size(); ++k) {
+    PinSite& site = sg.pins[k];
+    WireGroup& g = sg.groups[group_of[site.node]];
+    g.note_point(site.pos);
+    chain(g.pin_head, g.pin_tail, sg.pin_next, k);
+    const Instance& inst = *site.inst;
+    switch (site.def->role) {
+      case SymbolRole::Component:
+        break;
+      case SymbolRole::HierPort:
+        site.names.push_back(inst.props.get_text("port", inst.name));
+        site.port_dir = dir_from_text(inst.props.get_text("dir", "inout"));
+        break;
+      case SymbolRole::OffPage:
+        site.names.push_back(inst.props.get_text("net", inst.name));
+        break;
+      case SymbolRole::GlobalNet:
+        site.names.push_back(site.def->default_props.get_text(
+            "global_net", site.def->key.cell));
+        break;
+    }
+  }
+  sg.label_next.assign(label_node.size(), kNone);
+  for (std::uint32_t k = 0; k < label_node.size(); ++k) {
+    WireGroup& g = sg.groups[group_of[label_node[k]]];
+    chain(g.label_head, g.label_tail, sg.label_next, k);
+  }
+
+  // Deterministic order. std::sort makes the same moves whatever it sorts,
+  // given the same comparisons, so sorting (anchor, id) pairs by anchor
+  // gives the permutation that sorting the groups themselves, from
+  // ascending root order, would.
+  std::vector<std::pair<Point, std::uint32_t>> by_anchor;
+  by_anchor.reserve(groups);
+  for (std::uint32_t g = 0; g < groups; ++g)
+    by_anchor.emplace_back(sg.groups[g].anchor, g);
+  std::sort(by_anchor.begin(), by_anchor.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  sg.order.reserve(groups);
+  for (const auto& [anchor, g] : by_anchor) sg.order.push_back(g);
+  return sg;
+}
+
+using ConnRef = std::pair<const std::string*, const std::string*>;
+
+bool conn_less(const ConnRef& a, const ConnRef& b) {
+  int c = a.first->compare(*b.first);
+  return c != 0 ? c < 0 : *a.second < *b.second;
+}
+
+bool conn_equal(const ConnRef& a, const ConnRef& b) {
+  return *a.first == *b.first && *a.second == *b.second;
 }
 
 }  // namespace
@@ -106,162 +307,54 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
     if (key.cell == sch.cell && def.role == SymbolRole::Component)
       cell_symbol = &def;
 
-  // Pass 1 over all sheets: find explicit bus ranges so condensed refs
+  // Pass 1 over all labels: find explicit bus ranges so condensed refs
   // ("A0") can be recognized on pass 2.
+  std::vector<LabelNames> labels;
   std::vector<std::string> known_buses;
   for (const Sheet& sheet : sch.sheets) {
     for (const NetLabel& label : sheet.labels) {
-      NetRef ref = parse_net_ref(label.text, dialect);
-      if (ref.range) known_buses.push_back(ref.base);
+      LabelNames& l = labels.emplace_back();
+      l.label = &label;
+      l.ref = parse_net_ref(label.text, dialect);
+      if (l.ref.range) known_buses.push_back(l.ref.base);
     }
   }
   std::sort(known_buses.begin(), known_buses.end());
   known_buses.erase(std::unique(known_buses.begin(), known_buses.end()),
                     known_buses.end());
 
-  // Per-sheet wire groups.
-  struct SheetGroups {
-    int page;
-    std::vector<WireGroup> groups;
+  // Pass 2: known buses only change what a label parses to when pass 1
+  // found neither a range nor a bit, and only through condensed refs.
+  for (LabelNames& l : labels) {
+    if (l.ref.is_scalar() && dialect.condensed_bus_refs &&
+        !known_buses.empty())
+      l.ref = parse_net_ref(l.label->text, dialect, known_buses);
+    l.bits = canonical_bits(l.ref);
+    if (!dialect.global_suffix.empty() &&
+        base::ends_with(l.ref.base, dialect.global_suffix)) {
+      l.global = true;
+      NetRef cleaned = l.ref;
+      cleaned.base = cleaned.base.substr(
+          0, cleaned.base.size() - dialect.global_suffix.size());
+      l.clean = canonical_bits(cleaned);
+    }
+  }
+  auto bits_of = [&](const std::string& text) {
+    return canonical_bits(parse_net_ref(text, dialect, known_buses));
   };
-  std::vector<SheetGroups> all_groups;
 
+  // Per-sheet wire groups.
+  std::vector<SheetGroups> sheets;
+  sheets.reserve(sch.sheets.size());
+  std::uint32_t first_label = 0;
   for (const Sheet& sheet : sch.sheets) {
-    SheetNodes nodes(sheet);
-    const std::string page_obj = "page" + std::to_string(sheet.number);
-
-    // Extra nodes for instance pins and labels are appended after wiring
-    // nodes; remember the mapping.
-    struct PinSite {
-      std::size_t node;
-      const Instance* inst;
-      const SymbolDef* def;
-      const SymbolPin* pin;
-      Point pos;
-    };
-    std::vector<PinSite> pin_sites;
-
-    for (const Instance& inst : sheet.instances) {
-      const SymbolDef* def = design.find_symbol(inst.symbol);
-      if (!def) {
-        diags.error("unknown-symbol",
-                    "instance " + inst.name + " references missing symbol " +
-                        inst.symbol.str(),
-                    {"sch.extract", page_obj + "/" + inst.name});
-        continue;
-      }
-      for (const SymbolPin& pin : def->pins) {
-        Point pos = inst.placement.apply(pin.pos);
-        pin_sites.push_back({nodes.id_of(pos), &inst, def, &pin, pos});
-      }
-    }
-
-    struct LabelSite {
-      std::size_t node;
-      const NetLabel* label;
-    };
-    std::vector<LabelSite> label_sites;
-    for (const NetLabel& label : sheet.labels)
-      label_sites.push_back({nodes.id_of(label.at), &label});
-
-    // Union wires.
-    UnionFind uf(nodes.count());
-    for (const Segment& w : sheet.wires)
-      uf.unite(nodes.id_of(w.a), nodes.id_of(w.b));
-
-    // Junction dots connect interior crossings/tees.
-    for (const Point& j : sheet.junctions) {
-      std::size_t jid = nodes.id_of(j);
-      for (std::size_t si : nodes.wires.touching(j))
-        uf.unite(jid, nodes.id_of(sheet.wires[si].a));
-    }
-
-    // Pin sites per node: coincident pins share a node id.
-    std::vector<std::size_t> pins_at(nodes.count(), 0);
-    for (const PinSite& site : pin_sites) ++pins_at[site.node];
-
-    // Pins: connect when the pin sits on a wire endpoint, or on a wire
-    // interior that carries a junction dot. Coincident pins connect by
-    // abutment because they share the node id.
-    for (const PinSite& site : pin_sites) {
-      bool wired = false;
-      if (!nodes.wires.ending_at(site.pos).empty()) {
-        wired = true;  // endpoint: id_of already unified via segment union
-      } else if (!nodes.wires.touching(site.pos).empty()) {
-        if (nodes.wires.has_junction(site.pos))
-          wired = true;
-        else
-          diags.warn("pin-crosses-wire",
-                     "pin " + site.inst->name + "." + site.pin->name +
-                         " lies on a wire interior without a junction; "
-                         "not connected",
-                     {"sch.extract", page_obj + "/" + site.inst->name});
-      }
-      if (!wired) {
-        // Dangling pin: forms (or joins) a node only with coincident pins.
-        if (pins_at[site.node] == 1)
-          diags.note("dangling-pin",
-                     "pin " + site.inst->name + "." + site.pin->name +
-                         " is unconnected",
-                     {"sch.extract", page_obj + "/" + site.inst->name});
-      }
-    }
-
-    // Labels must land on a wire.
-    for (const LabelSite& site : label_sites) {
-      std::vector<std::size_t> segs = nodes.wires.touching(site.label->at);
-      if (segs.empty()) {
-        diags.warn("floating-label",
-                   "label '" + site.label->text + "' is not on any wire",
-                   {"sch.extract", page_obj});
-      } else {
-        uf.unite(site.node, nodes.id_of(sheet.wires[segs.front()].a));
-      }
-    }
-
-    // Gather groups.
-    std::map<std::size_t, WireGroup> groups;
-    for (const Segment& w : sheet.wires) {
-      WireGroup& g = groups[uf.find(nodes.id_of(w.a))];
-      g.note_point(w.a);
-      g.note_point(w.b);
-    }
-    for (const PinSite& site : pin_sites) {
-      WireGroup& g = groups[uf.find(site.node)];
-      g.note_point(site.pos);
-      const Instance& inst = *site.inst;
-      const SymbolDef* def = site.def;
-      switch (def->role) {
-        case SymbolRole::Component:
-          g.connections.insert({inst.name, site.pin->name});
-          break;
-        case SymbolRole::HierPort:
-          g.ports.emplace_back(
-              inst.props.get_text("port", inst.name),
-              dir_from_text(inst.props.get_text("dir", "inout")));
-          break;
-        case SymbolRole::OffPage:
-          g.offpage_names.push_back(inst.props.get_text("net", inst.name));
-          break;
-        case SymbolRole::GlobalNet:
-          g.global_names.push_back(
-              def->default_props.get_text("global_net", def->key.cell));
-          break;
-      }
-    }
-    for (const LabelSite& site : label_sites) {
-      groups[uf.find(site.node)].label_texts.push_back(site.label->text);
-    }
-
-    SheetGroups sg;
-    sg.page = sheet.number;
-    for (auto& [root, g] : groups) sg.groups.push_back(std::move(g));
-    // Deterministic order.
-    std::sort(sg.groups.begin(), sg.groups.end(),
-              [](const WireGroup& a, const WireGroup& b) {
-                return a.anchor < b.anchor;
-              });
-    all_groups.push_back(std::move(sg));
+    sheets.push_back(group_sheet(design, sheet, first_label, diags));
+    first_label += std::uint32_t(sheet.labels.size());
+    // Off-page and hier connector names are nets in label syntax.
+    for (PinSite& site : sheets.back().pins)
+      if (site.def->role == SymbolRole::OffPage ||
+          site.def->role == SymbolRole::HierPort)
+        site.names = bits_of(site.names.front());
   }
 
   // ---- Resolve group names to canonical nets ----
@@ -273,122 +366,144 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
   // pages *without* those becomes page-scoped ("name@p2") — two same-named
   // labels on different Composer pages are different nets.
   //
-  // Pre-pass: which pages does each canonical label name appear on?
-  std::map<std::string, std::set<int>> name_pages;
+  // Pre-pass: does each canonical label name appear on more than one page?
+  struct Pages {
+    int first;
+    bool several;
+  };
+  DenseIds<std::string_view> page_names;
+  std::vector<Pages> name_pages;
   if (!dialect.implicit_offpage_by_name) {
-    for (const SheetGroups& sg : all_groups) {
-      for (const WireGroup& g : sg.groups) {
-        for (const std::string& text : g.label_texts) {
-          NetRef ref = parse_net_ref(text, dialect, known_buses);
-          for (const std::string& bit : canonical_bits(ref))
-            name_pages[bit].insert(sg.page);
-        }
-        for (const std::string& on : g.offpage_names) {
-          NetRef ref = parse_net_ref(on, dialect, known_buses);
-          for (const std::string& bit : canonical_bits(ref))
-            name_pages[bit].insert(sg.page);
-        }
-      }
+    page_names.reserve(labels.size());
+    auto note = [&](const std::string& bit, int page) {
+      std::uint32_t id = page_names.intern(bit);
+      if (id == name_pages.size())
+        name_pages.push_back({page, false});
+      else if (name_pages[id].first != page)
+        name_pages[id].several = true;
+    };
+    for (const SheetGroups& sg : sheets) {
+      for (std::uint32_t l : sg.labels)
+        for (const std::string& bit : labels[l].bits) note(bit, sg.page);
+      for (const PinSite& site : sg.pins)
+        if (site.def->role == SymbolRole::OffPage)
+          for (const std::string& bit : site.names) note(bit, sg.page);
     }
   }
 
+  // Viewlogic-style implicit ports: a labeled net whose name matches a pin
+  // of the cell's own symbol is a port, with the last such pin's direction.
+  std::unordered_map<std::string, PinDir> implicit_ports;
+  if (!dialect.requires_hier_connectors && cell_symbol)
+    for (const SymbolPin& pin : cell_symbol->pins)
+      for (std::string& bit : bits_of(pin.name))
+        implicit_ports.insert_or_assign(std::move(bit), pin.dir);
+
   int anon_counter = 0;
-  auto add_connections = [&out](const std::string& canon, bool named,
-                                bool global, const WireGroup& g) {
+  std::vector<ConnRef> conns;
+  std::vector<std::pair<const std::string*, bool>> names;  // canonical, global
+  std::vector<const PinSite*> globals, offpages;
+  auto add_connections = [&out, &conns](const std::string& canon, bool named,
+                                        bool global) -> ExtractedNet& {
     ExtractedNet& net = out.nets[canon];
     net.canonical = canon;
     net.named = net.named || named;
     net.global = net.global || global;
-    for (const NetConnection& c : g.connections) net.connections.insert(c);
+    for (const auto& [inst, pin] : conns)
+      net.connections.emplace_hint(net.connections.end(),
+                                   NetConnection{*inst, *pin});
+    return net;
+  };
+  auto mark_port = [](ExtractedNet& net, const std::string& canon,
+                      PinDir dir) {
+    net.canonical = canon;
+    net.named = true;
+    net.is_port = true;
+    net.port_dir = dir;
   };
 
-  for (const SheetGroups& sg : all_groups) {
-    for (const WireGroup& g : sg.groups) {
-      std::vector<std::pair<std::string, bool>> names;  // canonical, global
-
-      for (const std::string& text : g.label_texts) {
-        NetRef ref = parse_net_ref(text, dialect, known_buses);
-        bool global = false;
-        NetRef cleaned = ref;
-        if (!dialect.global_suffix.empty() &&
-            base::ends_with(cleaned.base, dialect.global_suffix)) {
-          global = true;
-          cleaned.base = cleaned.base.substr(
-              0, cleaned.base.size() - dialect.global_suffix.size());
+  for (const SheetGroups& sg : sheets) {
+    for (std::uint32_t gi : sg.order) {
+      const WireGroup& g = sg.groups[gi];
+      conns.clear();
+      names.clear();
+      globals.clear();
+      offpages.clear();
+      const PinSite* last_port = nullptr;
+      for (std::uint32_t k = g.pin_head; k != kNone; k = sg.pin_next[k]) {
+        const PinSite& site = sg.pins[k];
+        switch (site.def->role) {
+          case SymbolRole::Component:
+            conns.emplace_back(&site.inst->name, &site.pin->name);
+            break;
+          case SymbolRole::HierPort: last_port = &site; break;
+          case SymbolRole::OffPage: offpages.push_back(&site); break;
+          case SymbolRole::GlobalNet: globals.push_back(&site); break;
         }
-        for (const std::string& bit : canonical_bits(cleaned))
-          names.emplace_back(bit, global);
       }
-      for (const std::string& gn : g.global_names)
-        names.emplace_back(gn, true);
-      for (const std::string& on : g.offpage_names) {
-        NetRef ref = parse_net_ref(on, dialect, known_buses);
-        for (const std::string& bit : canonical_bits(ref))
-          names.emplace_back(bit, false);
+      std::sort(conns.begin(), conns.end(), conn_less);
+      conns.erase(std::unique(conns.begin(), conns.end(), conn_equal),
+                  conns.end());
+
+      for (std::uint32_t k = g.label_head; k != kNone;
+           k = sg.label_next[k]) {
+        const LabelNames& l = labels[sg.labels[k]];
+        for (const std::string& bit : l.names())
+          names.emplace_back(&bit, l.global);
       }
+      for (const PinSite* site : globals)
+        names.emplace_back(&site->names.front(), true);
+      for (const PinSite* site : offpages)
+        for (const std::string& bit : site->names)
+          names.emplace_back(&bit, false);
 
       // An unlabeled wire with a hier connector takes the port's name.
-      if (names.empty() && !g.ports.empty()) {
-        for (const auto& [pname, pdir] : g.ports) {
-          (void)pdir;
-          NetRef pref = parse_net_ref(pname, dialect, known_buses);
-          for (const std::string& bit : canonical_bits(pref))
-            names.emplace_back(bit, false);
+      if (names.empty() && last_port) {
+        for (std::uint32_t k = g.pin_head; k != kNone; k = sg.pin_next[k]) {
+          const PinSite& site = sg.pins[k];
+          if (site.def->role == SymbolRole::HierPort)
+            for (const std::string& bit : site.names)
+              names.emplace_back(&bit, false);
         }
       }
 
       if (names.empty()) {
-        std::string anon = "$anon" + std::to_string(anon_counter++);
-        add_connections(anon, false, false, g);
+        add_connections("$anon" + std::to_string(anon_counter++), false,
+                        false);
         continue;
       }
 
-      std::vector<std::string> resolved;
-      for (auto& [canon, global] : names) {
+      ExtractedNet* first = nullptr;
+      for (const auto& [canon, global] : names) {
         bool design_wide = global || dialect.implicit_offpage_by_name ||
-                           !g.offpage_names.empty();
-        bool multipage = !design_wide && name_pages[canon].size() > 1;
-        std::string scoped =
-            multipage ? canon + "@p" + std::to_string(sg.page) : canon;
-        add_connections(scoped, true, global, g);
-        resolved.push_back(std::move(scoped));
+                           !offpages.empty();
+        bool multipage = false;
+        if (!design_wide) {
+          std::uint32_t id = page_names.find(*canon);
+          multipage = id != kNone && name_pages[id].several;
+        }
+        ExtractedNet& net =
+            multipage ? add_connections(
+                            *canon + "@p" + std::to_string(sg.page), true,
+                            global)
+                      : add_connections(*canon, true, global);
+        if (!first) first = &net;
       }
 
-      // Port bindings: a hier connector marks the group's net as a port.
-      for (const auto& [pname, pdir] : g.ports) {
-        (void)pname;  // ports name their net; the group's name binds it
-        ExtractedNet& net = out.nets[resolved.front()];
-        net.canonical = resolved.front();
-        net.named = true;
-        net.is_port = true;
-        net.port_dir = pdir;
-      }
-      if (g.ports.empty() && !dialect.requires_hier_connectors &&
-          cell_symbol) {
-        // Viewlogic-style implicit ports: a labeled net whose name matches
-        // a pin of the cell's own symbol is a port.
+      // Port bindings: a hier connector marks the group's net as a port;
+      // with several, the last one's direction stands.
+      if (last_port) {
+        mark_port(*first, first->canonical, last_port->port_dir);
+      } else if (!implicit_ports.empty()) {
         for (const auto& [canon, global] : names) {
           (void)global;
-          for (const SymbolPin& pin : cell_symbol->pins) {
-            NetRef pinref = parse_net_ref(pin.name, dialect, known_buses);
-            for (const std::string& bit : canonical_bits(pinref)) {
-              if (bit == canon) {
-                ExtractedNet& net = out.nets[canon];
-                net.canonical = canon;
-                net.named = true;
-                net.is_port = true;
-                net.port_dir = pin.dir;
-              }
-            }
-          }
+          auto it = implicit_ports.find(*canon);
+          if (it != implicit_ports.end())
+            mark_port(out.nets[*canon], *canon, it->second);
         }
       }
     }
   }
-
-  // Hier ports in connector-requiring dialects bind by connector name even
-  // when the wire group had its own label; make sure the port flag lands on
-  // the right canonical net (connector name may BE the net name).
   return out;
 }
 
@@ -403,25 +518,145 @@ std::string to_string(NetlistDiff::Kind k) {
   return "?";
 }
 
+namespace {
+
+/// Netlist::signature(net) of many nets, without building the strings: per
+/// net, its connections in the order signature() joins them, and the
+/// FNV-1a hash of the joined text.
+class Signatures {
+ public:
+  Signatures() { begin_.push_back(0); }
+
+  /// Record `net`'s signature; returns its id.
+  std::uint32_t add(const ExtractedNet& net) {
+    auto first = parts_.size();
+    for (const NetConnection& c : net.connections) parts_.push_back(&c);
+    auto b = parts_.begin() + std::ptrdiff_t(first);
+    // std::set order (instance, then pin) already sorts the joined
+    // "inst.pin" parts unless a name holds a character below '.'.
+    if (!std::is_sorted(b, parts_.end(), part_less))
+      std::sort(b, parts_.end(), part_less);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto feed = [&h](std::string_view s) {
+      for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+      }
+    };
+    for (auto it = b; it != parts_.end(); ++it) {
+      if (it != b) feed("|");
+      feed((*it)->instance);
+      feed(".");
+      feed((*it)->pin);
+    }
+    hash_.push_back(h);
+    begin_.push_back(std::uint32_t(parts_.size()));
+    return std::uint32_t(hash_.size() - 1);
+  }
+
+  std::uint64_t hash(std::uint32_t id) const { return hash_[id]; }
+
+  /// True when signature `a` here equals signature `b` of `other`.
+  bool same(std::uint32_t a, const Signatures& other, std::uint32_t b) const {
+    if (hash_[a] != other.hash_[b]) return false;
+    auto a0 = parts_.begin() + begin_[a], a1 = parts_.begin() + begin_[a + 1];
+    auto b0 = other.parts_.begin() + other.begin_[b];
+    auto b1 = other.parts_.begin() + other.begin_[b + 1];
+    if (std::equal(a0, a1, b0, b1,
+                   [](const NetConnection* x, const NetConnection* y) {
+                     return *x == *y;
+                   }))
+      return true;
+    return text(a) == other.text(b);  // the same text split at another '.'
+  }
+
+ private:
+  /// "a.instance + '.' + a.pin" < "b.instance + '.' + b.pin".
+  static bool part_less(const NetConnection* a, const NetConnection* b) {
+    auto at = [](const NetConnection* c, std::size_t k) -> unsigned char {
+      std::size_t n = c->instance.size();
+      return k < n ? c->instance[k] : k == n ? '.' : c->pin[k - n - 1];
+    };
+    std::size_t la = a->instance.size() + 1 + a->pin.size();
+    std::size_t lb = b->instance.size() + 1 + b->pin.size();
+    for (std::size_t k = 0; k < la && k < lb; ++k)
+      if (at(a, k) != at(b, k)) return at(a, k) < at(b, k);
+    return la < lb;
+  }
+
+  std::string text(std::uint32_t id) const {
+    std::string out;
+    for (std::uint32_t k = begin_[id]; k < begin_[id + 1]; ++k) {
+      if (k != begin_[id]) out += '|';
+      out += parts_[k]->instance;
+      out += '.';
+      out += parts_[k]->pin;
+    }
+    return out;
+  }
+
+  std::vector<const NetConnection*> parts_;
+  std::vector<std::uint32_t> begin_;  ///< per id, plus one past the last
+  std::vector<std::uint64_t> hash_;
+};
+
+}  // namespace
+
 std::vector<NetlistDiff> compare_netlists(const Netlist& golden,
                                           const Netlist& subject) {
   std::vector<NetlistDiff> diffs;
 
-  // Anonymous nets match by connection signature.
-  std::map<std::string, const ExtractedNet*> subject_anon;
-  for (const auto& [name, net] : subject.nets)
-    if (!net.named) subject_anon[Netlist::signature(net)] = &net;
+  // Anonymous nets match by connection signature; among subject nets with
+  // one signature, the last in name order is the match.
+  struct Anon {
+    std::uint64_t hash;
+    std::uint32_t sig;
+    const ExtractedNet* net;
+  };
+  Signatures subject_sigs;
+  std::vector<Anon> subject_anon;
+  for (const auto& [name, net] : subject.nets) {
+    if (net.named) continue;
+    std::uint32_t sig = subject_sigs.add(net);
+    subject_anon.push_back({subject_sigs.hash(sig), sig, &net});
+  }
+  std::stable_sort(
+      subject_anon.begin(), subject_anon.end(),
+      [](const Anon& a, const Anon& b) { return a.hash < b.hash; });
+  Signatures golden_sigs;
+  auto find_anon = [&](const ExtractedNet& gnet) -> const ExtractedNet* {
+    std::uint32_t sig = golden_sigs.add(gnet);
+    std::uint64_t h = golden_sigs.hash(sig);
+    auto it = std::lower_bound(
+        subject_anon.begin(), subject_anon.end(), h,
+        [](const Anon& a, std::uint64_t x) { return a.hash < x; });
+    const ExtractedNet* found = nullptr;
+    for (; it != subject_anon.end() && it->hash == h; ++it)
+      if (golden_sigs.same(sig, subject_sigs, it->sig)) found = it->net;
+    return found;
+  };
 
-  std::set<std::string> matched_subject;
+  // Subject nets matched so far. A subject net counts as matched when a
+  // matched net's canonical name is its key; when every net is keyed by
+  // its own canonical name (as extract_netlist leaves them) that is the
+  // net itself.
+  bool keyed = std::all_of(
+      subject.nets.begin(), subject.nets.end(),
+      [](const auto& entry) { return entry.first == entry.second.canonical; });
+  std::vector<const ExtractedNet*> matched_nets;
+  std::vector<const std::string*> matched_names;
 
+  auto named_it = subject.nets.begin();
   for (const auto& [name, gnet] : golden.nets) {
     const ExtractedNet* snet = nullptr;
     if (gnet.named) {
-      auto it = subject.nets.find(name);
-      if (it != subject.nets.end()) snet = &it->second;
+      // Both maps are in name order: walk the subject alongside.
+      while (named_it != subject.nets.end() && named_it->first < name)
+        ++named_it;
+      if (named_it != subject.nets.end() && named_it->first == name)
+        snet = &named_it->second;
     } else {
-      auto it = subject_anon.find(Netlist::signature(gnet));
-      if (it != subject_anon.end()) snet = it->second;
+      snet = find_anon(gnet);
     }
     if (!snet) {
       // Single-connection anonymous nets (dangling pins) are noise; still
@@ -431,7 +666,10 @@ std::vector<NetlistDiff> compare_netlists(const Netlist& golden,
                          "connections: " + Netlist::signature(gnet)});
       continue;
     }
-    matched_subject.insert(snet->canonical);
+    if (keyed)
+      matched_nets.push_back(snet);
+    else
+      matched_names.push_back(&snet->canonical);
     if (gnet.connections != snet->connections) {
       diffs.push_back({NetlistDiff::Kind::ConnectionChange, name,
                        "golden{" + Netlist::signature(gnet) + "} subject{" +
@@ -451,8 +689,21 @@ std::vector<NetlistDiff> compare_netlists(const Netlist& golden,
     }
   }
 
+  auto by_text = [](const std::string* a, const std::string* b) {
+    return *a < *b;
+  };
+  std::sort(matched_nets.begin(), matched_nets.end(),
+            std::less<const ExtractedNet*>());
+  std::sort(matched_names.begin(), matched_names.end(), by_text);
+  auto matched = [&](const std::string& name, const ExtractedNet& net) {
+    return keyed ? std::binary_search(matched_nets.begin(),
+                                      matched_nets.end(), &net,
+                                      std::less<const ExtractedNet*>())
+                 : std::binary_search(matched_names.begin(),
+                                      matched_names.end(), &name, by_text);
+  };
   for (const auto& [name, snet] : subject.nets) {
-    if (matched_subject.count(name)) continue;
+    if (matched(name, snet)) continue;
     bool matched_named = snet.named && golden.nets.count(name);
     if (matched_named) continue;  // handled above
     if (snet.named || snet.connections.size() > 1)

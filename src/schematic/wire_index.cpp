@@ -1,6 +1,7 @@
 #include "schematic/wire_index.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace interop::sch {
 
@@ -10,9 +11,104 @@ std::size_t PointHash::operator()(const Point& p) const {
   return std::size_t(h);
 }
 
+// ------------------------------------------------------------- DenseIds
+
+namespace {
+
+std::uint64_t key_hash(const Point& p) { return PointHash{}(p); }
+std::uint64_t key_hash(std::int64_t v) { return std::uint64_t(v); }
+std::uint64_t key_hash(std::string_view s) {
+  return std::hash<std::string_view>{}(s);
+}
+
+}  // namespace
+
+template <class Key>
+std::size_t DenseIds<Key>::slot_of(const Key& key) const {
+  // Fibonacci hashing: the top bits of the product mix every key bit.
+  return std::size_t((key_hash(key) * 0x9e3779b97f4a7c15ULL) >> shift_);
+}
+
+template <class Key>
+void DenseIds<Key>::rehash(std::size_t slots) {
+  int bits = 0;
+  while ((std::size_t(1) << bits) < slots) ++bits;
+  slots_.assign(std::size_t(1) << bits, kNone);
+  shift_ = 64 - bits;
+  std::size_t mask = slots_.size() - 1;
+  for (std::uint32_t id = 0; id < keys_.size(); ++id) {
+    std::size_t s = slot_of(keys_[id]);
+    while (slots_[s] != kNone) s = (s + 1) & mask;
+    slots_[s] = id;
+  }
+}
+
+template <class Key>
+void DenseIds<Key>::reserve(std::size_t n) {
+  keys_.reserve(n);
+  // Load factor at most one half.
+  if (2 * n > slots_.size()) rehash(std::max<std::size_t>(16, 2 * n));
+}
+
+template <class Key>
+std::uint32_t DenseIds<Key>::find(const Key& key) const {
+  if (slots_.empty()) return kNone;
+  std::size_t mask = slots_.size() - 1;
+  for (std::size_t s = slot_of(key);; s = (s + 1) & mask) {
+    std::uint32_t id = slots_[s];
+    if (id == kNone || keys_[id] == key) return id;
+  }
+}
+
+template <class Key>
+std::uint32_t DenseIds<Key>::intern(const Key& key) {
+  if (2 * (keys_.size() + 1) > slots_.size())
+    rehash(std::max<std::size_t>(16, 4 * (keys_.size() + 1)));
+  std::size_t mask = slots_.size() - 1;
+  std::size_t s = slot_of(key);
+  for (; slots_[s] != kNone; s = (s + 1) & mask)
+    if (keys_[slots_[s]] == key) return slots_[s];
+  auto id = std::uint32_t(keys_.size());
+  slots_[s] = id;
+  keys_.push_back(key);
+  return id;
+}
+
+template class DenseIds<Point>;
+template class DenseIds<std::int64_t>;
+template class DenseIds<std::string_view>;
+
+// ------------------------------------------------------------ WireIndex
+
+WireIndex::Line& WireIndex::Lines::at(std::int64_t key) {
+  std::uint32_t id = ids.intern(key);
+  if (id == lines.size()) lines.emplace_back();
+  return lines[id];
+}
+
+const WireIndex::Line* WireIndex::Lines::find(std::int64_t key) const {
+  std::uint32_t id = ids.find(key);
+  return id == kNone ? nullptr : &lines[id];
+}
+
 WireIndex::WireIndex(const Sheet& sheet) : sheet_(sheet) {
-  dead_.assign(sheet.wires.size(), 0);
-  for (std::size_t i = 0; i < sheet.wires.size(); ++i) add_wire_at(i);
+  std::size_t wires = sheet.wires.size();
+  std::size_t points = 2 * wires + sheet.junctions.size();
+  nodes_.reserve(points);
+  end_head_.reserve(points);
+  end_tail_.reserve(points);
+  live_ends_.reserve(points);
+  dot_.reserve(points);
+  end_next_.reserve(2 * wires);
+  wire_node_.reserve(2 * wires);
+  line_next_.reserve(wires);
+  dead_.reserve(wires);
+  rows_.ids.reserve(wires / 2);
+  cols_.ids.reserve(wires / 2);
+  for (std::size_t i = 0; i < wires; ++i) {
+    dead_.push_back(0);
+    add_wire_at(i);
+  }
   for (const Point& j : sheet.junctions) add_junction_at(j);
 }
 
@@ -23,37 +119,90 @@ void WireIndex::add_wire() {
 
 void WireIndex::add_junction() { add_junction_at(sheet_.junctions.back()); }
 
+std::uint32_t WireIndex::node(const Point& p) {
+  std::uint32_t n = nodes_.intern(p);
+  if (n == end_head_.size()) {
+    end_head_.push_back(kNone);
+    end_tail_.push_back(kNone);
+    live_ends_.push_back(0);
+    dot_.push_back(0);
+  }
+  return n;
+}
+
+void WireIndex::chain_end(std::uint32_t n, std::uint32_t slot) {
+  if (end_tail_[n] == kNone)
+    end_head_[n] = slot;
+  else
+    end_next_[end_tail_[n]] = slot;
+  end_tail_[n] = slot;
+  ++live_ends_[n];
+}
+
 void WireIndex::add_wire_at(std::size_t id) {
   const Segment& w = sheet_.wires[id];
   auto id32 = std::uint32_t(id);
-  ends_[w.a].push_back(id32);
-  if (w.b != w.a) ends_[w.b].push_back(id32);
-  if (w.horizontal())
-    rows_[w.a.y].push_back(id32);
-  else if (w.vertical())
-    cols_[w.a.x].push_back(id32);
+  std::uint32_t a = node(w.a);
+  std::uint32_t b = node(w.b);
+  wire_node_.push_back(a);
+  wire_node_.push_back(b);
+  end_next_.push_back(kNone);
+  end_next_.push_back(kNone);
+  chain_end(a, 2 * id32);
+  if (b != a) chain_end(b, 2 * id32 + 1);
+  line_next_.push_back(kNone);
+  Line* line = w.horizontal() ? &rows_.at(w.a.y)
+               : w.vertical() ? &cols_.at(w.a.x)
+                              : nullptr;
+  if (!line) return;
+  if (line->wire_tail == kNone)
+    line->wire_head = id32;
+  else
+    line_next_[line->wire_tail] = id32;
+  line->wire_tail = id32;
 }
 
 void WireIndex::add_junction_at(const Point& j) {
-  std::vector<std::int64_t>& row = dot_rows_[j.y];
-  if (std::find(row.begin(), row.end(), j.x) != row.end()) return;
-  row.push_back(j.x);
-  dot_cols_[j.x].push_back(j.y);
+  std::uint32_t n = node(j);
+  if (dot_[n]) return;
+  dot_[n] = 1;
+  auto d = std::uint32_t(dot_at_.size());
+  dot_at_.push_back(j);
+  dot_row_next_.push_back(kNone);
+  dot_col_next_.push_back(kNone);
+  auto append = [d](Line& line, std::vector<std::uint32_t>& next) {
+    if (line.dot_tail == kNone)
+      line.dot_head = d;
+    else
+      next[line.dot_tail] = d;
+    line.dot_tail = d;
+  };
+  append(rows_.at(j.y), dot_row_next_);
+  append(cols_.at(j.x), dot_col_next_);
 }
 
-void WireIndex::remove_wire(std::size_t id) { dead_[id] = 1; }
+void WireIndex::remove_wire(std::size_t id) {
+  if (dead_[id]) return;
+  dead_[id] = 1;
+  --live_ends_[node_a(id)];
+  if (node_b(id) != node_a(id)) --live_ends_[node_b(id)];
+}
+
+std::uint32_t WireIndex::next_on_line(std::uint32_t at,
+                                      const Point& p) const {
+  for (; at != kNone; at = line_next_[at])
+    if (!dead_[at] && sheet_.wires[at].contains(p)) return at;
+  return kNone;
+}
 
 template <class F>
 void WireIndex::for_each_touching(const Point& p, F&& visit) const {
-  auto scan = [&](const std::unordered_map<std::int64_t, Ids>& buckets,
-                  std::int64_t key) {
-    auto it = buckets.find(key);
-    if (it == buckets.end()) return;
-    for (std::uint32_t id : it->second)
-      if (!dead_[id] && sheet_.wires[id].contains(p)) visit(std::size_t(id));
-  };
-  scan(rows_, p.y);
-  scan(cols_, p.x);
+  for (const Line* line : {rows_.find(p.y), cols_.find(p.x)}) {
+    if (!line) continue;
+    for (std::uint32_t id = next_on_line(line->wire_head, p); id != kNone;
+         id = next_on_line(line_next_[id], p))
+      visit(std::size_t(id));
+  }
 }
 
 template <class F>
@@ -61,39 +210,45 @@ void WireIndex::for_each_junction_on(const Segment& w, F&& visit) const {
   // Same shape test as Segment::contains: a diagonal wire carries no dot.
   bool horizontal = w.horizontal();
   if (!horizontal && !w.vertical()) return;
-  const auto& buckets = horizontal ? dot_rows_ : dot_cols_;
-  auto it = buckets.find(horizontal ? w.a.y : w.a.x);
-  if (it == buckets.end()) return;
+  const Line* line = horizontal ? rows_.find(w.a.y) : cols_.find(w.a.x);
+  if (!line) return;
+  const std::vector<std::uint32_t>& next =
+      horizontal ? dot_row_next_ : dot_col_next_;
   auto [lo, hi] = horizontal ? std::minmax(w.a.x, w.b.x)
                              : std::minmax(w.a.y, w.b.y);
-  for (std::int64_t c : it->second) {
-    if (c < lo || c > hi) continue;
-    visit(horizontal ? Point{c, w.a.y} : Point{w.a.x, c});
+  for (std::uint32_t d = line->dot_head; d != kNone; d = next[d]) {
+    const Point& j = dot_at_[d];
+    std::int64_t c = horizontal ? j.x : j.y;
+    if (c >= lo && c <= hi) visit(j);
   }
 }
 
 std::vector<std::size_t> WireIndex::ending_at(const Point& p) const {
   std::vector<std::size_t> out;
-  auto it = ends_.find(p);
-  if (it == ends_.end()) return out;
-  for (std::uint32_t id : it->second)
-    if (!dead_[id]) out.push_back(id);
+  std::uint32_t n = nodes_.find(p);
+  if (n == kNone) return out;
+  for (std::uint32_t s = end_head_[n]; s != kNone; s = end_next_[s])
+    if (!dead_[s / 2]) out.push_back(s / 2);
   return out;
 }
 
 std::vector<std::size_t> WireIndex::touching(const Point& p) const {
   std::vector<std::size_t> out;
-  for_each_touching(p, [&out](std::size_t id) { out.push_back(id); });
-  // Each bucket is ascending; a wire sits in at most one of the two.
-  std::sort(out.begin(), out.end());
+  for_each_touching_ascending(p, [&out](std::size_t id) { out.push_back(id); });
   return out;
 }
 
+std::uint32_t WireIndex::first_touching(const Point& p) const {
+  const Line* row = rows_.find(p.y);
+  const Line* col = cols_.find(p.x);
+  std::uint32_t r = next_on_line(row ? row->wire_head : kNone, p);
+  std::uint32_t c = next_on_line(col ? col->wire_head : kNone, p);
+  return std::min(r, c);  // kNone is the largest value
+}
+
 bool WireIndex::has_junction(const Point& p) const {
-  auto it = dot_rows_.find(p.y);
-  return it != dot_rows_.end() &&
-         std::find(it->second.begin(), it->second.end(), p.x) !=
-             it->second.end();
+  std::uint32_t n = nodes_.find(p);
+  return n != kNone && dot_[n];
 }
 
 std::vector<std::size_t> WireIndex::flood(
@@ -113,16 +268,14 @@ std::vector<std::size_t> WireIndex::flood(
   };
   for (std::size_t id : seeds) reach(id);
   while (!work.empty()) {
-    const Segment& w = sheet_.wires[work.back()];
+    std::size_t cur = work.back();
     work.pop_back();
-    for (const Point& end : {w.a, w.b}) {
-      auto it = ends_.find(end);
-      if (it == ends_.end()) continue;
-      for (std::uint32_t id : it->second)
-        if (!dead_[id]) reach(id);
-    }
-    for_each_junction_on(
-        w, [&](const Point& j) { for_each_touching(j, reach); });
+    for (std::uint32_t n : {node_a(cur), node_b(cur)})
+      for (std::uint32_t s = end_head_[n]; s != kNone; s = end_next_[s])
+        if (!dead_[s / 2]) reach(s / 2);
+    for_each_junction_on(sheet_.wires[cur], [&](const Point& j) {
+      for_each_touching(j, reach);
+    });
   }
   std::sort(seen.begin(), seen.end());
   return seen;

@@ -44,6 +44,68 @@ TEST(Reader, Errors) {
   EXPECT_THROW(read_one("1 2"), AlError);
 }
 
+// The reader keeps its own stack, so the nesting depth it accepts is a
+// chosen cap, not whatever the C++ stack happens to hold.
+std::string nested(std::size_t depth, bool balanced) {
+  return std::string(depth, '(') + (balanced ? std::string(depth, ')') : "");
+}
+
+std::string read_error(const std::string& src) {
+  try {
+    read_all(src);
+  } catch (const AlError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Reader, BalancedNestingAtTheCapReads) {
+  Value v = read_one(nested(kMaxNesting, true));
+  std::size_t depth = 1;
+  for (const Value* cur = &v; !cur->as_list().empty();
+       cur = &cur->as_list().front())
+    ++depth;
+  EXPECT_EQ(depth, kMaxNesting);
+  // Quotes nest too: each one wraps its form in (quote ...).
+  Value q = read_one(std::string(kMaxNesting, '\'') + "x");
+  EXPECT_TRUE(q.is_list());
+  EXPECT_EQ(read_error(std::string(kMaxNesting - 1, '(') + "'x" +
+                       std::string(kMaxNesting - 1, ')')),
+            "");
+}
+
+TEST(Reader, OpenNestingAtTheCapIsUnterminated) {
+  EXPECT_EQ(read_error(nested(kMaxNesting, false)), "unterminated list");
+  EXPECT_EQ(read_error(std::string(kMaxNesting, '\'')),
+            "unexpected end of input");
+}
+
+TEST(Reader, NestingPastTheCapIsRefused) {
+  const std::string too_deep =
+      "nesting deeper than " + std::to_string(kMaxNesting) + " levels";
+  EXPECT_EQ(read_error(nested(kMaxNesting + 1, true)), too_deep);
+  EXPECT_EQ(read_error(nested(kMaxNesting + 1, false)), too_deep);
+  EXPECT_EQ(read_error(std::string(kMaxNesting + 1, '\'') + "x"), too_deep);
+  EXPECT_EQ(read_error(std::string(kMaxNesting, '(') + "'x" +
+                       std::string(kMaxNesting, ')')),
+            too_deep);
+  // Far past the cap: this used to overflow the C++ stack.
+  EXPECT_EQ(read_error(nested(100000, false)), too_deep);
+  EXPECT_EQ(read_error(nested(100000, true)), too_deep);
+}
+
+TEST(Reader, ErrorMessages) {
+  EXPECT_EQ(read_error("(a (b"), "unterminated list");
+  EXPECT_EQ(read_error("(a ')"), "unexpected ')'");
+  EXPECT_EQ(read_error("1 )"), "unexpected ')'");
+  EXPECT_EQ(read_error("(a '"), "unexpected end of input");
+  EXPECT_EQ(read_error("'(a"), "unterminated list");
+  EXPECT_EQ(read_error("(\"abc"), "unterminated string");
+  EXPECT_EQ(read_error("\"a\\"), "dangling escape");
+  EXPECT_EQ(read_error("\"\\q\""), "unknown escape \\q");
+  EXPECT_EQ(read_error("(a ; comment )\n b)"), "");
+}
+
 TEST(Reader, WriteRoundTrip) {
   for (const char* src :
        {"(1 2 3)", "(a \"b\" 2.5 #t nil)", "(quote (x y))"}) {

@@ -402,6 +402,30 @@ TEST(ServiceCore, ErrorsAreCleanPerRequest) {
   EXPECT_EQ(client.call(ping).status, Status::Ok);
 }
 
+// A design nested far past the reader's cap (it used to overflow the
+// stack and kill the daemon) is one bad request among others.
+TEST(ServiceCore, DeeplyNestedDesignIsACleanError) {
+  InteropService svc(quiet_options());
+  LoopbackClient client(svc);
+  const std::string deep = std::string(100000, '(');
+  for (MsgType type : {MsgType::Migrate, MsgType::Netlist}) {
+    Request req;
+    req.id = 8;
+    req.type = type;
+    req.cell = "top";
+    req.design = deep;
+    Response resp = client.call(req);
+    EXPECT_EQ(resp.status, Status::Error) << service::to_string(type);
+    EXPECT_NE(resp.error.find("nesting deeper than"), std::string::npos)
+        << resp.error;
+
+    req.id = 9;
+    req.design = scenario_design(1);
+    resp = client.call(req);
+    EXPECT_EQ(resp.status, Status::Ok) << resp.error;
+  }
+}
+
 TEST(ServiceCore, FlowRunsShareTheResidentCacheAcrossTenants) {
   InteropService svc(quiet_options());
   LoopbackClient client(svc);
@@ -456,6 +480,10 @@ TEST(ServiceCore, AdmissionControlRejectsWithRetryAfter) {
     slow.id = std::uint64_t(i + 1);
     slow.seed = std::uint64_t(1000 + i);  // distinct: no cache shortcuts
     svc.submit(slow, [&done_count](Response) { ++done_count; });
+    // Let the single worker claim request 1 before the queue is filled;
+    // otherwise request 3 can itself be shed on a slow scheduler.
+    if (i == 0)
+      while (svc.queued() != 0) std::this_thread::yield();
   }
   // Worker has one, queue holds two: the next submit must be shed.
   Request extra = slow;

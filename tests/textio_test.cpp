@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "al/reader.hpp"
 #include "hdl/parser.hpp"
 #include "hdl/sim.hpp"
 #include "hdl/synth.hpp"
@@ -57,6 +58,17 @@ TEST(SchTextIoErrors, RejectsMalformedInput) {
   EXPECT_THROW(read_design("(not-a-design)", diags), std::runtime_error);
   EXPECT_THROW(read_design("(design (grid 1))", diags), std::runtime_error);
   EXPECT_THROW(read_design("garbage ((", diags), std::exception);
+}
+
+TEST(SchTextIoErrors, RejectsNestingPastTheReaderCap) {
+  using namespace interop::sch;
+  interop::base::DiagnosticEngine diags;
+  // 100k open lists overflowed the stack of the old recursive reader.
+  EXPECT_THROW(read_design(std::string(100000, '('), diags),
+               interop::al::AlError);
+  std::string deep = "(design " + std::string(interop::al::kMaxNesting, '(') +
+                     std::string(interop::al::kMaxNesting + 1, ')');
+  EXPECT_THROW(read_design(deep, diags), interop::al::AlError);
 }
 
 TEST(SchTextIoErrors, WarnsOnUnknownFields) {
