@@ -390,17 +390,20 @@ Netlist map_golden_netlist(Netlist golden, const Schematic& sch_src,
     ExtractedNet& net = node.mapped();
     normalize_name(node.key());
     net.canonical = node.key();
-    // Map pin names through the symbol map; the set is rebuilt only when
-    // some pin is renamed.
-    if (std::any_of(net.connections.begin(), net.connections.end(),
-                    renamed_pin)) {
-      std::set<NetConnection> renamed;
-      for (const NetConnection& c : net.connections) {
-        const std::string* pin = renamed_pin(c);
-        renamed.insert({c.instance, pin ? *pin : c.pin});
+    // Map pin names through the symbol map. Renamed connections move their
+    // set nodes across and back rather than being copied.
+    std::set<NetConnection> renamed;
+    for (auto it = net.connections.begin(); it != net.connections.end();) {
+      const std::string* pin = renamed_pin(*it);
+      if (!pin) {
+        ++it;
+        continue;
       }
-      net.connections = std::move(renamed);
+      auto conn = net.connections.extract(it++);
+      conn.value().pin = *pin;
+      renamed.insert(std::move(conn));
     }
+    net.connections.merge(renamed);
     // Names mostly stay in order, so the end is the usual insertion point.
     auto slot = mapped.nets.insert(mapped.nets.end(), std::move(node));
     if (!node) continue;

@@ -607,32 +607,40 @@ std::vector<NetlistDiff> compare_netlists(const Netlist& golden,
   std::vector<NetlistDiff> diffs;
 
   // Anonymous nets match by connection signature; among subject nets with
-  // one signature, the last in name order is the match.
-  struct Anon {
-    std::uint64_t hash;
-    std::uint32_t sig;
-    const ExtractedNet* net;
-  };
+  // one signature, the last in name order is the match. Subject signatures
+  // are chained, in name order, per distinct hash.
   Signatures subject_sigs;
-  std::vector<Anon> subject_anon;
+  DenseIds<std::int64_t> hash_ids;
+  std::vector<std::uint32_t> hash_head, hash_tail, sig_next;
+  std::vector<std::uint32_t> sig_pos;  ///< per signature: subject position
+  std::vector<const ExtractedNet*> by_pos;  ///< subject nets in name order
+  hash_ids.reserve(subject.nets.size());
+  by_pos.reserve(subject.nets.size());
   for (const auto& [name, net] : subject.nets) {
-    if (net.named) continue;
-    std::uint32_t sig = subject_sigs.add(net);
-    subject_anon.push_back({subject_sigs.hash(sig), sig, &net});
+    by_pos.push_back(&net);
+    if (!net.named) {
+      std::uint32_t sig = subject_sigs.add(net);
+      std::uint32_t h =
+          hash_ids.intern(std::int64_t(subject_sigs.hash(sig)));
+      if (h == hash_head.size()) {
+        hash_head.push_back(kNone);
+        hash_tail.push_back(kNone);
+      }
+      sig_next.push_back(kNone);
+      chain(hash_head[h], hash_tail[h], sig_next, sig);
+      sig_pos.push_back(std::uint32_t(by_pos.size() - 1));
+    }
   }
-  std::stable_sort(
-      subject_anon.begin(), subject_anon.end(),
-      [](const Anon& a, const Anon& b) { return a.hash < b.hash; });
+
   Signatures golden_sigs;
-  auto find_anon = [&](const ExtractedNet& gnet) -> const ExtractedNet* {
+  // Subject position of the match for anonymous `gnet`, or kNone.
+  auto find_anon = [&](const ExtractedNet& gnet) {
     std::uint32_t sig = golden_sigs.add(gnet);
-    std::uint64_t h = golden_sigs.hash(sig);
-    auto it = std::lower_bound(
-        subject_anon.begin(), subject_anon.end(), h,
-        [](const Anon& a, std::uint64_t x) { return a.hash < x; });
-    const ExtractedNet* found = nullptr;
-    for (; it != subject_anon.end() && it->hash == h; ++it)
-      if (golden_sigs.same(sig, subject_sigs, it->sig)) found = it->net;
+    std::uint32_t h = hash_ids.find(std::int64_t(golden_sigs.hash(sig)));
+    std::uint32_t found = kNone;
+    if (h != kNone)
+      for (std::uint32_t s = hash_head[h]; s != kNone; s = sig_next[s])
+        if (golden_sigs.same(sig, subject_sigs, s)) found = sig_pos[s];
     return found;
   };
 
@@ -643,21 +651,25 @@ std::vector<NetlistDiff> compare_netlists(const Netlist& golden,
   bool keyed = std::all_of(
       subject.nets.begin(), subject.nets.end(),
       [](const auto& entry) { return entry.first == entry.second.canonical; });
-  std::vector<const ExtractedNet*> matched_nets;
+  std::vector<std::uint8_t> matched_pos(keyed ? subject.nets.size() : 0, 0);
   std::vector<const std::string*> matched_names;
 
   auto named_it = subject.nets.begin();
+  std::uint32_t named_pos = 0;
   for (const auto& [name, gnet] : golden.nets) {
-    const ExtractedNet* snet = nullptr;
+    std::uint32_t spos = kNone;
     if (gnet.named) {
       // Both maps are in name order: walk the subject alongside.
-      while (named_it != subject.nets.end() && named_it->first < name)
+      while (named_it != subject.nets.end() && named_it->first < name) {
         ++named_it;
+        ++named_pos;
+      }
       if (named_it != subject.nets.end() && named_it->first == name)
-        snet = &named_it->second;
+        spos = named_pos;
     } else {
-      snet = find_anon(gnet);
+      spos = find_anon(gnet);
     }
+    const ExtractedNet* snet = spos == kNone ? nullptr : by_pos[spos];
     if (!snet) {
       // Single-connection anonymous nets (dangling pins) are noise; still
       // report named ones and multi-pin anonymous ones.
@@ -667,7 +679,7 @@ std::vector<NetlistDiff> compare_netlists(const Netlist& golden,
       continue;
     }
     if (keyed)
-      matched_nets.push_back(snet);
+      matched_pos[spos] = 1;
     else
       matched_names.push_back(&snet->canonical);
     if (gnet.connections != snet->connections) {
@@ -692,18 +704,14 @@ std::vector<NetlistDiff> compare_netlists(const Netlist& golden,
   auto by_text = [](const std::string* a, const std::string* b) {
     return *a < *b;
   };
-  std::sort(matched_nets.begin(), matched_nets.end(),
-            std::less<const ExtractedNet*>());
   std::sort(matched_names.begin(), matched_names.end(), by_text);
-  auto matched = [&](const std::string& name, const ExtractedNet& net) {
-    return keyed ? std::binary_search(matched_nets.begin(),
-                                      matched_nets.end(), &net,
-                                      std::less<const ExtractedNet*>())
-                 : std::binary_search(matched_names.begin(),
-                                      matched_names.end(), &name, by_text);
-  };
+  std::uint32_t pos = 0;
   for (const auto& [name, snet] : subject.nets) {
-    if (matched(name, snet)) continue;
+    bool matched = keyed ? matched_pos[pos++] != 0
+                         : std::binary_search(matched_names.begin(),
+                                              matched_names.end(), &name,
+                                              by_text);
+    if (matched) continue;
     bool matched_named = snet.named && golden.nets.count(name);
     if (matched_named) continue;  // handled above
     if (snet.named || snet.connections.size() > 1)
