@@ -1,6 +1,7 @@
 #include "schematic/netlist.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <numeric>
 #include <string_view>
@@ -399,37 +400,67 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
       for (std::string& bit : bits_of(pin.name))
         implicit_ports.insert_or_assign(std::move(bit), pin.dir);
 
-  int anon_counter = 0;
-  std::vector<ConnRef> conns;
-  std::vector<std::pair<const std::string*, bool>> names;  // canonical, global
-  std::vector<const PinSite*> globals, offpages;
-  auto add_connections = [&out, &conns](const std::string& canon, bool named,
-                                        bool global) -> ExtractedNet& {
-    ExtractedNet& net = out.nets[canon];
-    net.canonical = canon;
+  // Nets in first-mention order, with what the groups add to them: flags,
+  // port marks (the last mark's direction stands) and links to the groups'
+  // connection runs. out.nets is built from them once, in name order, so
+  // no net costs a search of the map.
+  struct NetState {
+    bool named = false;
+    bool global = false;
+    bool is_port = false;
+    PinDir port_dir = PinDir::Inout;
+    std::uint32_t link_head = kNone, link_tail = kNone;
+  };
+  struct Link {  ///< one group's connections, conns[begin, end)
+    std::uint32_t begin, end;
+  };
+  DenseIds<std::string_view> net_ids;
+  std::vector<NetState> nets;
+  std::vector<Link> links;
+  std::vector<std::uint32_t> link_next;
+  std::deque<std::string> made_names;  ///< scoped and anonymous names
+  std::vector<ConnRef> conns;          ///< every group's run, sorted
+  net_ids.reserve(labels.size() + sheets.size() * 64);
+
+  auto net_of = [&](std::string_view name) {
+    std::uint32_t id = net_ids.intern(name);
+    if (id == nets.size()) nets.emplace_back();
+    return id;
+  };
+  auto made = [&made_names](std::string name) -> std::string_view {
+    return made_names.emplace_back(std::move(name));
+  };
+  auto add_connections = [&](std::string_view name, bool named, bool global,
+                             Link run) {
+    std::uint32_t id = net_of(name);
+    NetState& net = nets[id];
     net.named = net.named || named;
     net.global = net.global || global;
-    for (const auto& [inst, pin] : conns)
-      net.connections.emplace_hint(net.connections.end(),
-                                   NetConnection{*inst, *pin});
-    return net;
+    if (run.begin != run.end) {
+      links.push_back(run);
+      link_next.push_back(kNone);
+      chain(net.link_head, net.link_tail, link_next,
+            std::uint32_t(links.size() - 1));
+    }
+    return id;
   };
-  auto mark_port = [](ExtractedNet& net, const std::string& canon,
-                      PinDir dir) {
-    net.canonical = canon;
-    net.named = true;
-    net.is_port = true;
-    net.port_dir = dir;
+  auto mark_port = [&nets](std::uint32_t id, PinDir dir) {
+    nets[id].named = true;
+    nets[id].is_port = true;
+    nets[id].port_dir = dir;
   };
 
+  int anon_counter = 0;
+  std::vector<std::pair<const std::string*, bool>> names;  // canonical, global
+  std::vector<const PinSite*> globals, offpages;
   for (const SheetGroups& sg : sheets) {
     for (std::uint32_t gi : sg.order) {
       const WireGroup& g = sg.groups[gi];
-      conns.clear();
       names.clear();
       globals.clear();
       offpages.clear();
       const PinSite* last_port = nullptr;
+      Link run{std::uint32_t(conns.size()), 0};
       for (std::uint32_t k = g.pin_head; k != kNone; k = sg.pin_next[k]) {
         const PinSite& site = sg.pins[k];
         switch (site.def->role) {
@@ -441,9 +472,11 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
           case SymbolRole::GlobalNet: globals.push_back(&site); break;
         }
       }
-      std::sort(conns.begin(), conns.end(), conn_less);
-      conns.erase(std::unique(conns.begin(), conns.end(), conn_equal),
+      auto first_conn = conns.begin() + run.begin;
+      std::sort(first_conn, conns.end(), conn_less);
+      conns.erase(std::unique(first_conn, conns.end(), conn_equal),
                   conns.end());
+      run.end = std::uint32_t(conns.size());
 
       for (std::uint32_t k = g.label_head; k != kNone;
            k = sg.label_next[k]) {
@@ -468,12 +501,12 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
       }
 
       if (names.empty()) {
-        add_connections("$anon" + std::to_string(anon_counter++), false,
-                        false);
+        add_connections(made("$anon" + std::to_string(anon_counter++)),
+                        false, false, run);
         continue;
       }
 
-      ExtractedNet* first = nullptr;
+      std::uint32_t first = kNone;
       for (const auto& [canon, global] : names) {
         bool design_wide = global || dialect.implicit_offpage_by_name ||
                            !offpages.empty();
@@ -482,27 +515,68 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
           std::uint32_t id = page_names.find(*canon);
           multipage = id != kNone && name_pages[id].several;
         }
-        ExtractedNet& net =
-            multipage ? add_connections(
-                            *canon + "@p" + std::to_string(sg.page), true,
-                            global)
-                      : add_connections(*canon, true, global);
-        if (!first) first = &net;
+        std::string_view name =
+            multipage ? made(*canon + "@p" + std::to_string(sg.page))
+                      : std::string_view(*canon);
+        std::uint32_t id = add_connections(name, true, global, run);
+        if (first == kNone) first = id;
       }
 
       // Port bindings: a hier connector marks the group's net as a port;
       // with several, the last one's direction stands.
       if (last_port) {
-        mark_port(*first, first->canonical, last_port->port_dir);
+        mark_port(first, last_port->port_dir);
       } else if (!implicit_ports.empty()) {
         for (const auto& [canon, global] : names) {
           (void)global;
           auto it = implicit_ports.find(*canon);
-          if (it != implicit_ports.end())
-            mark_port(out.nets[*canon], *canon, it->second);
+          if (it != implicit_ports.end()) mark_port(net_of(*canon), it->second);
         }
       }
     }
+  }
+
+  // Build the map in name order: every insertion lands at the end.
+  std::vector<std::uint32_t> by_name(nets.size());
+  std::iota(by_name.begin(), by_name.end(), 0u);
+  std::sort(by_name.begin(), by_name.end(),
+            [&net_ids](std::uint32_t a, std::uint32_t b) {
+              return net_ids.key(a) < net_ids.key(b);
+            });
+  std::vector<ConnRef> merged;
+  for (std::uint32_t id : by_name) {
+    const NetState& state = nets[id];
+    auto it = out.nets.emplace_hint(out.nets.end(),
+                                    std::string(net_ids.key(id)),
+                                    ExtractedNet{});
+    ExtractedNet& net = it->second;
+    net.canonical = it->first;
+    net.named = state.named;
+    net.global = state.global;
+    net.is_port = state.is_port;
+    net.port_dir = state.port_dir;
+    // One run is sorted and unique already; several are merged.
+    auto first = conns.cbegin(), last = conns.cbegin();
+    if (state.link_head != kNone) {
+      const Link& l = links[state.link_head];
+      first += l.begin;
+      last += l.end;
+    }
+    if (state.link_head != state.link_tail) {
+      merged.clear();
+      for (std::uint32_t k = state.link_head; k != kNone; k = link_next[k])
+        merged.insert(merged.end(), conns.begin() + links[k].begin,
+                      conns.begin() + links[k].end);
+      std::sort(merged.begin(), merged.end(), conn_less);
+      merged.erase(std::unique(merged.begin(), merged.end(), conn_equal),
+                   merged.end());
+      first = merged.cbegin();
+      last = merged.cend();
+    }
+    for (; first != last; ++first)
+      net.connections.emplace_hint(net.connections.end(),
+                                   NetConnection{*first->first,
+                                                 *first->second});
   }
   return out;
 }
