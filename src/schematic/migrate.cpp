@@ -365,8 +365,11 @@ Netlist map_golden_netlist(Netlist golden, const Schematic& sch_src,
   // last instance carrying it.
   DenseIds<std::string_view> inst_ids;
   std::vector<const SymbolMapEntry*> inst_entry;
+  std::size_t instances = 0;
+  for (const Sheet& sheet : sch_src.sheets)
+    instances += sheet.instances.size();
+  inst_ids.reserve(instances);
   for (const Sheet& sheet : sch_src.sheets) {
-    inst_ids.reserve(inst_ids.size() + sheet.instances.size());
     for (const Instance& inst : sheet.instances) {
       std::uint32_t id = inst_ids.intern(inst.name);
       if (id == inst_entry.size()) inst_entry.push_back(nullptr);
@@ -404,7 +407,8 @@ Netlist map_golden_netlist(Netlist golden, const Schematic& sch_src,
       renamed.insert(std::move(conn));
     }
     net.connections.merge(renamed);
-    // Names mostly stay in order, so the end is the usual insertion point.
+    // The end is the insertion point for as long as normalized names keep
+    // their order.
     auto slot = mapped.nets.insert(mapped.nets.end(), std::move(node));
     if (!node) continue;
     // Normalization collided two names (itself a finding): merge.

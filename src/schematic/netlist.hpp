@@ -15,6 +15,18 @@
 //  - global-net symbols and global-suffix names join design-wide;
 //  - hierarchy ports come from HierPort instances (Composer) or from labels
 //    matching the cell's symbol pins (Viewlogic).
+//
+// Extraction is one flat connectivity pass per sheet: the sheet's WireIndex
+// (wire_index.hpp) numbers the wire ends and junction dots and caches each
+// wire's end nodes, pins and labels elsewhere get ids after them, and a
+// union-find over those ids yields the wire groups, kept in a vector by
+// root and ordered by anchor point. Labels are parsed once per cell, and
+// the nets are collected by name and built into the Netlist map once, in
+// name order. compare_netlists matches anonymous nets by a hash of their
+// connection signature and builds signature text only for the diffs it
+// reports. Netlist and NetlistDiff contents, diagnostic order and anon
+// numbering are those of the straightforward per-query form, which
+// tests/sch_netlist_oracle_test.cpp keeps as an oracle.
 
 #include <map>
 #include <set>

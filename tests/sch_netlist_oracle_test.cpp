@@ -599,7 +599,7 @@ Sheet random_sheet(base::Rng& rng, const Design& lib, int number) {
   const std::vector<std::string> nets = {
       "n1",     "n2",   "A",     "Y",   "D<0:1>", "D<1>", "D0",  "D1",
       "ack-",   "ack",  "VDD!",  "clk!", "B<3:0>", "B2",  "x.y", "",
-      "D<0:1>-", "n2!", "GND"};
+      "D<0:1>-", "n2!", "GND",  "x_y",  "_anon0", "$anon1"};
 
   std::vector<Point> pins;
   int instances = int(rng.uniform(1, 6));
@@ -794,7 +794,7 @@ TEST(NetlistOracle, CompareMatchesOnHandBuiltNetlists) {
 }
 
 TEST(NetlistOracle, VerifyMigrationMatches) {
-  std::size_t diffs_seen = 0;
+  std::size_t diffs_seen = 0, merged = 0;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     GeneratorOptions opt;
     opt.seed = seed;
@@ -813,8 +813,20 @@ TEST(NetlistOracle, VerifyMigrationMatches) {
         verify_migration(source, result.design, sc.config, got_diags), ctx);
     expect_same_diags(want_diags, got_diags, ctx);
     diffs_seen += want.size();
+
+    // Names that normalize alike merge ("x.y" and "x_y", "$anon0" and a
+    // label "_anon0"); the runs must reach that path.
+    for (const auto& [cell, sch] : source.schematics()) {
+      Netlist golden =
+          extract_netlist(source, sch, sc.config.source, want_diags);
+      std::size_t before = golden.nets.size();
+      merged += before -
+                map_golden_netlist(std::move(golden), sch, sc.config)
+                    .nets.size();
+    }
   }
   EXPECT_GT(diffs_seen, 0u);
+  EXPECT_GT(merged, 0u);
 }
 
 }  // namespace
