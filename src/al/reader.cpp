@@ -72,7 +72,12 @@ class Reader {
   void finish(Value v, std::vector<Value>& out) {
     while (!frames_.empty() && frames_.back().quote) {
       frames_.pop_back();
-      v = Value(Value::List{Value::sym("quote"), std::move(v)});
+      // Built by moves: a braced list would copy the quoted form.
+      Value::List quoted;
+      quoted.reserve(2);
+      quoted.push_back(Value::sym("quote"));
+      quoted.push_back(std::move(v));
+      v = Value(std::move(quoted));
     }
     if (frames_.empty())
       out.push_back(std::move(v));

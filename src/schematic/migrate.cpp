@@ -411,13 +411,10 @@ Netlist map_golden_netlist(Netlist golden, const Schematic& sch_src,
     // their order.
     auto slot = mapped.nets.insert(mapped.nets.end(), std::move(node));
     if (!node) continue;
-    // Normalization collided two names (itself a finding): merge.
-    if (slot->second.canonical.empty()) {
-      slot->second = std::move(node.mapped());
-    } else {
-      for (const NetConnection& c : node.mapped().connections)
-        slot->second.connections.insert(c);
-    }
+    // Normalization collided two names (itself a finding): the first net
+    // stays and takes the other's connections.
+    for (const NetConnection& c : node.mapped().connections)
+      slot->second.connections.insert(c);
   }
   return mapped;
 }

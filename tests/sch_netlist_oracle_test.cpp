@@ -785,11 +785,55 @@ TEST(NetlistOracle, CompareMatchesOnHandBuiltNetlists) {
   b.nets["$anon8"] = net("n1", false, {{"U9", "A"}, {"U9", "B"}});
   b.nets["n1"] = net("x", true, {{"U3", "A"}});
   b.nets["renamed"] = net("renamed", true, {{"U4", "B"}});
+  // Same signature "U1-.X|U1.A.B", but only the second set is already in
+  // its text order.
+  a.nets["$anon3"] = net("$anon3", false, {{"U1", "A.B"}, {"U1-", "X"}});
+  b.nets["$anon9"] = net("$anon9", false, {{"U1.A", "B"}, {"U1-", "X"}});
   for (const auto& [golden, subject] :
        {std::pair{&a, &b}, std::pair{&b, &a}, std::pair{&a, &a}}) {
     std::vector<NetlistDiff> want =
         oracle::compare_netlists(*golden, *subject);
     expect_same_diffs(want, compare_netlists(*golden, *subject), "hand");
+  }
+}
+
+/// Groups with equal anchors keep the order the oracle's std::sort over
+/// the group objects gives them: floating labels have no anchor point at
+/// all, and the coincident pins of dangling hier connectors sit at (0, 0).
+/// Under implicit ports, which group comes last decides the direction of
+/// net n1: the connectors say input, the cell's last "n1" pin says output.
+TEST(NetlistOracle, EqualAnchorsKeepTheirOrder) {
+  Design design = make_library();
+  Schematic sch;
+  sch.cell = "top";
+  Sheet sheet;
+  sheet.number = 1;
+  for (int k = 0; k < 40; ++k) {
+    // Wired groups around the tied ones, so that std::sort partitions.
+    std::int64_t y = 3 + 2 * k;
+    sheet.wires.push_back({{2, y}, {9, y}});
+    NetLabel floating;
+    floating.text = k % 3 ? "n" + std::to_string(k) : "n1";
+    floating.at = {50 + k, 50};
+    sheet.labels.push_back(floating);
+    Instance port;
+    port.name = "P" + std::to_string(k);
+    port.symbol = {"connectors", "ipin", "symbol"};
+    port.placement = Transform(base::Orient::R0, {-1, 0});  // pin at (0, 0)
+    port.props.set("port", "n1");
+    port.props.set("dir", "input");
+    sheet.instances.push_back(port);
+  }
+  sch.sheets.push_back(std::move(sheet));
+  design.add_schematic(std::move(sch));
+  for (const Dialect& dialect : {viewlogic_dialect(), composer_dialect()}) {
+    base::DiagnosticEngine want_diags, got_diags;
+    const Schematic& top = *design.find_schematic("top");
+    Netlist want = oracle::extract_netlist(design, top, dialect, want_diags);
+    expect_same_netlist(want, extract_netlist(design, top, dialect, got_diags),
+                        dialect.name);
+    expect_same_diags(want_diags, got_diags, dialect.name);
+    EXPECT_TRUE(want.nets.at("n1").is_port);
   }
 }
 
