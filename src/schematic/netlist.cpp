@@ -527,10 +527,10 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
       if (last_port) {
         mark_port(first, last_port->port_dir);
       } else if (!implicit_ports.empty()) {
-        for (const auto& [canon, global] : names) {
-          (void)global;
-          auto it = implicit_ports.find(*canon);
-          if (it != implicit_ports.end()) mark_port(net_of(*canon), it->second);
+        for (const auto& name : names) {
+          auto it = implicit_ports.find(*name.first);
+          if (it != implicit_ports.end())
+            mark_port(net_of(*name.first), it->second);
         }
       }
     }

@@ -196,16 +196,6 @@ std::uint32_t WireIndex::next_on_line(std::uint32_t at,
 }
 
 template <class F>
-void WireIndex::for_each_touching(const Point& p, F&& visit) const {
-  for (const Line* line : {rows_.find(p.y), cols_.find(p.x)}) {
-    if (!line) continue;
-    for (std::uint32_t id = next_on_line(line->wire_head, p); id != kNone;
-         id = next_on_line(line_next_[id], p))
-      visit(std::size_t(id));
-  }
-}
-
-template <class F>
 void WireIndex::for_each_junction_on(const Segment& w, F&& visit) const {
   // Same shape test as Segment::contains: a diagonal wire carries no dot.
   bool horizontal = w.horizontal();
@@ -274,7 +264,7 @@ std::vector<std::size_t> WireIndex::flood(
       for (std::uint32_t s = end_head_[n]; s != kNone; s = end_next_[s])
         if (!dead_[s / 2]) reach(s / 2);
     for_each_junction_on(sheet_.wires[cur], [&](const Point& j) {
-      for_each_touching(j, reach);
+      for_each_touching_ascending(j, reach);
     });
   }
   std::sort(seen.begin(), seen.end());

@@ -133,8 +133,6 @@ class WireIndex {
   /// returns the first one at or after chain position `at` (kNone at end).
   std::uint32_t next_on_line(std::uint32_t at, const Point& p) const;
   template <class F>
-  void for_each_touching(const Point& p, F&& visit) const;
-  template <class F>
   void for_each_junction_on(const Segment& w, F&& visit) const;
 
   const Sheet& sheet_;

@@ -732,6 +732,40 @@ TEST(NetlistOracle, ExtractionMatchesUnderBothDialects) {
   EXPECT_GT(diags_seen, 0u);
 }
 
+/// Generated Exar designs, before and after migration, read under both
+/// dialects: the shapes the service extracts, at sizes the random sheets
+/// do not reach.
+TEST(NetlistOracle, ExtractionMatchesOnGeneratedDesigns) {
+  std::size_t nets = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    GeneratorOptions opt;
+    opt.seed = seed;
+    opt.sheets = 1 + int(seed % 3);
+    opt.components_per_sheet = 6 + int(seed * 5 % 40);
+    opt.nets_per_sheet = opt.components_per_sheet / 2;
+    Scenario sc = make_exar_scenario(opt);
+    base::DiagnosticEngine mdiags;
+    MigrationResult result = migrate_design(sc.source, sc.config, mdiags);
+    for (const Design* design : {&sc.source, &result.design}) {
+      for (const auto& [cell, sch] : design->schematics()) {
+        for (const Dialect& dialect :
+             {viewlogic_dialect(), composer_dialect()}) {
+          std::string ctx =
+              "seed " + std::to_string(seed) + " " + cell + " " + dialect.name;
+          base::DiagnosticEngine want_diags, got_diags;
+          Netlist want =
+              oracle::extract_netlist(*design, sch, dialect, want_diags);
+          expect_same_netlist(
+              want, extract_netlist(*design, sch, dialect, got_diags), ctx);
+          expect_same_diags(want_diags, got_diags, ctx);
+          nets += want.nets.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(nets, 0u);
+}
+
 TEST(NetlistOracle, CompareMatches) {
   std::size_t diffs_seen = 0;
   std::vector<Netlist> previous;
