@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 #include <numeric>
 #include <string_view>
 #include <unordered_map>
