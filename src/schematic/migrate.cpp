@@ -6,6 +6,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "base/dense_ids.hpp"
 #include "base/strings.hpp"
 
 namespace interop::sch {
@@ -363,7 +364,7 @@ Netlist map_golden_netlist(Netlist golden, const Schematic& sch_src,
 
   // The symbol-map entry of each source instance; a name stands for the
   // last instance carrying it.
-  DenseIds<std::string_view> inst_ids;
+  base::DenseIds<std::string_view> inst_ids;
   std::vector<const SymbolMapEntry*> inst_entry;
   std::size_t instances = 0;
   for (const Sheet& sheet : sch_src.sheets)
@@ -378,7 +379,7 @@ Netlist map_golden_netlist(Netlist golden, const Schematic& sch_src,
   }
   auto renamed_pin = [&](const NetConnection& c) -> const std::string* {
     std::uint32_t id = inst_ids.find(c.instance);
-    if (id == DenseIds<std::string_view>::kNone || !inst_entry[id])
+    if (id == base::DenseIds<std::string_view>::kNone || !inst_entry[id])
       return nullptr;
     const auto& pin_map = inst_entry[id]->pin_map;
     auto pin = pin_map.find(c.pin);

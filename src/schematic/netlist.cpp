@@ -6,6 +6,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "base/dense_ids.hpp"
 #include "base/strings.hpp"
 #include "schematic/wire_index.hpp"
 
@@ -143,7 +144,7 @@ SheetGroups group_sheet(const Design& design, const Sheet& sheet,
   // Pins and labels off the index's nodes get ids after them, in the order
   // they are met.
   const auto wired_nodes = std::uint32_t(index.node_count());
-  DenseIds<Point> extra;
+  base::DenseIds<Point> extra;
   extra.reserve(sg.pins.size() + sheet.labels.size());
   auto node_at = [&](const Point& p) {
     std::uint32_t n = index.node_of(p);
@@ -371,7 +372,7 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
     int first;
     bool several;
   };
-  DenseIds<std::string_view> page_names;
+  base::DenseIds<std::string_view> page_names;
   std::vector<Pages> name_pages;
   if (!dialect.implicit_offpage_by_name) {
     page_names.reserve(labels.size());
@@ -413,7 +414,7 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
   struct Link {  ///< one group's connections, conns[begin, end)
     std::uint32_t begin, end;
   };
-  DenseIds<std::string_view> net_ids;
+  base::DenseIds<std::string_view> net_ids;
   std::vector<NetState> nets;
   std::vector<Link> links;
   std::vector<std::uint32_t> link_next;
@@ -683,13 +684,17 @@ std::vector<NetlistDiff> compare_netlists(const Netlist& golden,
   // one signature, the last in name order is the match. Subject signatures
   // are chained, in name order, per distinct hash.
   Signatures subject_sigs;
-  DenseIds<std::int64_t> hash_ids;
+  base::DenseIds<std::int64_t> hash_ids;
   std::vector<std::uint32_t> hash_head, hash_tail, sig_next;
   std::vector<std::uint32_t> sig_pos;  ///< per signature: subject position
   std::vector<const ExtractedNet*> by_pos;  ///< subject nets in name order
+  // A subject key's id is its position in name order.
+  base::DenseIds<std::string_view> subject_ids;
   hash_ids.reserve(subject.nets.size());
   by_pos.reserve(subject.nets.size());
+  subject_ids.reserve(subject.nets.size());
   for (const auto& [name, net] : subject.nets) {
+    subject_ids.intern(name);
     by_pos.push_back(&net);
     if (!net.named) {
       std::uint32_t sig = subject_sigs.add(net);
@@ -717,31 +722,13 @@ std::vector<NetlistDiff> compare_netlists(const Netlist& golden,
     return found;
   };
 
-  // Subject nets matched so far. A subject net counts as matched when a
-  // matched net's canonical name is its key; when every net is keyed by
-  // its own canonical name (as extract_netlist leaves them) that is the
-  // net itself.
-  bool keyed = std::all_of(
-      subject.nets.begin(), subject.nets.end(),
-      [](const auto& entry) { return entry.first == entry.second.canonical; });
-  std::vector<std::uint8_t> matched_pos(keyed ? subject.nets.size() : 0, 0);
-  std::vector<const std::string*> matched_names;
+  // Subject nets matched so far, by position. A subject net counts as
+  // matched when a matched net's canonical name is its key.
+  std::vector<std::uint8_t> matched(subject.nets.size(), 0);
 
-  auto named_it = subject.nets.begin();
-  std::uint32_t named_pos = 0;
   for (const auto& [name, gnet] : golden.nets) {
-    std::uint32_t spos = kNone;
-    if (gnet.named) {
-      // Both maps are in name order: walk the subject alongside.
-      while (named_it != subject.nets.end() && named_it->first < name) {
-        ++named_it;
-        ++named_pos;
-      }
-      if (named_it != subject.nets.end() && named_it->first == name)
-        spos = named_pos;
-    } else {
-      spos = find_anon(gnet);
-    }
+    std::uint32_t spos =
+        gnet.named ? subject_ids.find(name) : find_anon(gnet);
     const ExtractedNet* snet = spos == kNone ? nullptr : by_pos[spos];
     if (!snet) {
       // Single-connection anonymous nets (dangling pins) are noise; still
@@ -751,10 +738,8 @@ std::vector<NetlistDiff> compare_netlists(const Netlist& golden,
                          "connections: " + Netlist::signature(gnet)});
       continue;
     }
-    if (keyed)
-      matched_pos[spos] = 1;
-    else
-      matched_names.push_back(&snet->canonical);
+    std::uint32_t mpos = subject_ids.find(snet->canonical);
+    if (mpos != kNone) matched[mpos] = 1;
     if (gnet.connections != snet->connections) {
       diffs.push_back({NetlistDiff::Kind::ConnectionChange, name,
                        "golden{" + Netlist::signature(gnet) + "} subject{" +
@@ -774,17 +759,9 @@ std::vector<NetlistDiff> compare_netlists(const Netlist& golden,
     }
   }
 
-  auto by_text = [](const std::string* a, const std::string* b) {
-    return *a < *b;
-  };
-  std::sort(matched_names.begin(), matched_names.end(), by_text);
   std::uint32_t pos = 0;
   for (const auto& [name, snet] : subject.nets) {
-    bool matched = keyed ? matched_pos[pos++] != 0
-                         : std::binary_search(matched_names.begin(),
-                                              matched_names.end(), &name,
-                                              by_text);
-    if (matched) continue;
+    if (matched[pos++]) continue;
     bool matched_named = snet.named && golden.nets.count(name);
     if (matched_named) continue;  // handled above
     if (snet.named || snet.connections.size() > 1)

@@ -16,10 +16,10 @@
 //     interior containment (Segment::contains: a zero-length wire contains
 //     its one point, a diagonal wire contains no point at all);
 //   - junction dots bucketed by row and by column.
-// Point and coordinate keys live in open-addressed tables, and every list
-// (wires ending at a node, wires or dots in a bucket) is a chain threaded
-// through one array per kind, so a key costs no heap allocation of its
-// own.
+// Point and coordinate keys live in open-addressed tables (DenseIds in
+// base/dense_ids.hpp), and every list (wires ending at a node, wires or
+// dots in a bucket) is a chain threaded through one array per kind, so a
+// key costs no heap allocation of its own.
 //
 // Wire ids are indices into sheet.wires, and every query returns them in
 // ascending order. The index can follow edits to its sheet: a caller that
@@ -28,48 +28,16 @@
 // SheetRipup in ripup.hpp). After compaction the index is stale.
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
+#include "base/dense_ids.hpp"
 #include "schematic/model.hpp"
 
 namespace interop::sch {
 
-/// Hash for grid points, for unordered containers keyed by Point.
-struct PointHash {
-  std::size_t operator()(const Point& p) const;
-};
-
-/// Dense ids for keys: the first key interned gets 0, the next new one 1,
-/// and so on. Open addressing with linear probing over a power-of-two slot
-/// array; ids index the caller's own per-key arrays. Instantiated for
-/// Point, std::int64_t and std::string_view (whose text must outlive it).
-template <class Key>
-class DenseIds {
- public:
-  static constexpr std::uint32_t kNone = 0xffffffffu;
-
-  /// Size the table for `n` keys without rehashing.
-  void reserve(std::size_t n);
-  /// Id of `key`, or kNone.
-  std::uint32_t find(const Key& key) const;
-  /// Id of `key`, giving it the next id when it is new.
-  std::uint32_t intern(const Key& key);
-  std::size_t size() const { return keys_.size(); }
-  const Key& key(std::uint32_t id) const { return keys_[id]; }
-
- private:
-  std::size_t slot_of(const Key& key) const;
-  void rehash(std::size_t slots);
-
-  std::vector<std::uint32_t> slots_;  ///< id, or kNone for an empty slot
-  std::vector<Key> keys_;             ///< by id
-  int shift_ = 64;
-};
-
 class WireIndex {
  public:
-  static constexpr std::uint32_t kNone = DenseIds<Point>::kNone;
+  static constexpr std::uint32_t kNone = base::DenseIds<Point>::kNone;
 
   /// Index `sheet`'s wires and junctions. The sheet must outlive the index.
   explicit WireIndex(const Sheet& sheet);
@@ -119,7 +87,7 @@ class WireIndex {
     std::uint32_t dot_head = kNone, dot_tail = kNone;
   };
   struct Lines {
-    DenseIds<std::int64_t> ids;
+    base::DenseIds<std::int64_t> ids;
     std::vector<Line> lines;
     Line& at(std::int64_t key);
     const Line* find(std::int64_t key) const;
@@ -136,7 +104,7 @@ class WireIndex {
   void for_each_junction_on(const Segment& w, F&& visit) const;
 
   const Sheet& sheet_;
-  DenseIds<Point> nodes_;
+  base::DenseIds<Point> nodes_;
   // Per node.
   std::vector<std::uint32_t> end_head_, end_tail_;  ///< chain of end slots
   std::vector<std::uint32_t> live_ends_;

@@ -19,6 +19,7 @@
 #include <set>
 #include <unordered_map>
 
+#include "base/dense_ids.hpp"
 #include "base/rng.hpp"
 #include "base/strings.hpp"
 #include "schematic/generator.hpp"
@@ -88,7 +89,7 @@ class SheetNodes {
   std::size_t count() const { return next_; }
 
  private:
-  std::unordered_map<Point, std::size_t, PointHash> ids_;
+  std::unordered_map<Point, std::size_t, base::PointHash> ids_;
   std::size_t next_ = 0;
 };
 
